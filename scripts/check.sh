@@ -32,7 +32,11 @@
 #               Collect/Featurize but retrain) and a warm run with only
 #               --topk changed (must replay fold scores and skip
 #               training entirely), each proven via --explain
-#               provenance and bit-identical to a fresh uncached run.
+#               provenance and bit-identical to a fresh uncached run;
+#               every featurized entry must carry the v2 header, and a
+#               featurized entry rewritten to a v1 header must warn
+#               once, be stored again and still give an artifact
+#               identical to a fresh run.
 #   sim-perf  — the simulator perf-counter gate (DESIGN.md §13): the
 #               test_sim_perf determinism suite, then a table1 smoke
 #               whose --explain table and schemaVersion-3 artifact must
@@ -318,6 +322,11 @@ for stage in "${stages[@]}"; do
             --folds=3 --cache-dir="$cdir/cache" --explain \
             --json="$cdir/cold.json" > "$cdir/cold.log"
         grep -q 'stage cache: featurized miss' "$cdir/cold.log"
+        # Every featurized entry is in the current binary format.
+        for entry in "$cdir"/cache/featurized-*.bfc; do
+            head -n 1 "$entry" | grep -q '^# bigfish-stage-cache v2 ' ||
+                { echo "$entry does not carry the v2 header" >&2; exit 1; }
+        done
         echo "== [stage-cache] warm run, only eval folds changed"
         "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
             --folds=2 --cache-dir="$cdir/cache" --explain \
@@ -361,6 +370,33 @@ for stage in "${stages[@]}"; do
                 exit 1
             fi
         done
+        echo "== [stage-cache] a stale v1 entry misses, warns and is" \
+             "stored again"
+        stale="$(ls "$cdir"/cache/featurized-*.bfc | head -n 1)"
+        stale_key="$(basename "$stale" .bfc)"
+        stale_key="${stale_key#featurized-}"
+        { printf '# bigfish-stage-cache v1'
+          tail -c +25 "$stale"; } > "$cdir/stale.bfc"
+        mv "$cdir/stale.bfc" "$stale"
+        "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
+            --folds=3 --topk=3 --cache-dir="$cdir/cache" --explain \
+            --json="$cdir/warm-stale.json" > "$cdir/warm-stale.log" \
+            2> "$cdir/warm-stale.err"
+        if [ "$(grep -c "stage cache entry $stale failed validation" \
+                "$cdir/warm-stale.err")" -ne 1 ]; then
+            echo "the stale entry did not warn exactly once" >&2
+            exit 1
+        fi
+        grep -Eq "/featurize/[^ ]+ +\| featurize +\| $stale_key \| stored" \
+            "$cdir/warm-stale.log"
+        head -n 1 "$stale" | grep -q '^# bigfish-stage-cache v2 '
+        if ! diff \
+            <(grep -v -e 'Seconds' -e 'cache-dir' "$cdir/warm-stale.json") \
+            <(grep -v -e 'Seconds' -e 'cache-dir' "$cdir/fresh-topk.json"); then
+            echo "the run that refilled a stale entry differs from a" \
+                 "fresh run" >&2
+            exit 1
+        fi
         echo "== [stage-cache] cached reuse is provenance-clean and" \
              "bit-identical"
         ;;

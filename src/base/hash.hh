@@ -26,7 +26,9 @@
 
 namespace bigfish {
 
-/** CRC32 (IEEE 802.3, polynomial 0xedb88320) of @p data. */
+/** CRC32 (IEEE 802.3, polynomial 0xedb88320) of @p data, computed
+ *  slice-by-8 (eight bytes per step, identical to the bytewise
+ *  definition). */
 [[nodiscard]] std::uint32_t crc32(std::string_view data);
 
 /** FNV-1a 64-bit hash of @p text. */

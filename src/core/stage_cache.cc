@@ -1,13 +1,13 @@
 #include "core/stage_cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <vector>
 
 #include "base/atomic_file.hh"
@@ -28,144 +28,178 @@ hex16(std::uint64_t value)
     return buf;
 }
 
-constexpr char kHeaderPrefix[] = "# bigfish-stage-cache v1 kind=";
+constexpr char kHeaderPrefix[] = "# bigfish-stage-cache v2 kind=";
 constexpr char kEntrySuffix[] = ".bfc";
+/** "@crc xxxxxxxx\n": fixed width, so it sits at a fixed offset from
+ *  the end of the entry whatever bytes the payload holds. */
+constexpr std::size_t kTrailerSize = 14;
+/** Payload integers and doubles are raw host-order bytes; the header
+ *  names the order, so an entry written on a host of the other
+ *  endianness fails the header check and misses. */
+constexpr const char *kByteOrder =
+    std::endian::native == std::endian::little ? "le" : "be";
 
-/** Serializes one dataset section: a shape line then one row per
- *  sample, features as bit-exact hexfloats. */
-void
-writeDataset(std::ostringstream &out, const char *name,
-             const ml::Dataset &data)
+static_assert(sizeof(Label) == sizeof(std::int32_t),
+              "labels are stored as int32");
+
+std::string
+headerLine(std::string_view kind, std::uint64_t key)
 {
-    out << name << ' ' << data.features.size() << ' ' << data.featureLen()
-        << ' ' << data.numClasses << '\n';
-    char buf[48];
-    for (std::size_t i = 0; i < data.features.size(); ++i) {
-        out << "row " << data.labels[i];
-        for (const double v : data.features[i]) {
-            std::snprintf(buf, sizeof(buf), "%a", v);
-            out << ' ' << buf;
-        }
-        out << '\n';
+    return kHeaderPrefix + std::string(kind) + " key=" + hex16(key) +
+           " order=" + kByteOrder + "\n";
+}
+
+/** The "@crc xxxxxxxx\n" trailer that seals @p body. */
+std::string
+trailerFor(std::string_view body)
+{
+    char trailer[kTrailerSize + 1];
+    std::snprintf(trailer, sizeof(trailer), "@crc %08x\n", crc32(body));
+    return trailer;
+}
+
+/** The payload of a framed entry (a view into @p text), or nullopt
+ *  unless its CRC, version, byte order, kind and key all check out. */
+std::optional<std::string_view>
+framedPayload(std::string_view text, std::string_view kind,
+              std::uint64_t key)
+{
+    if (text.size() < kTrailerSize)
+        return std::nullopt;
+    const std::string_view body = text.substr(0, text.size() - kTrailerSize);
+    const std::string header = headerLine(kind, key);
+    if (text.substr(body.size()) != trailerFor(body) ||
+        !body.starts_with(header))
+        return std::nullopt;
+    return body.substr(header.size());
+}
+
+// Payloads are raw host-order bytes: fixed-width counts, int32 labels
+// and IEEE-754 doubles, each copied with memcpy.
+
+template <typename T>
+void
+putArray(std::string &out, const T *values, std::size_t n)
+{
+    out.append(reinterpret_cast<const char *>(values), n * sizeof(T));
+}
+
+template <typename T>
+void
+put(std::string &out, T value)
+{
+    putArray(out, &value, 1);
+}
+
+/** A length-prefixed label vector. */
+void
+putLabels(std::string &out, const std::vector<Label> &labels)
+{
+    put<std::uint64_t>(out, labels.size());
+    putArray(out, labels.data(), labels.size());
+}
+
+/** A rows × cols matrix; every row is as wide as the first. */
+void
+putMatrix(std::string &out, const std::vector<std::vector<double>> &rows)
+{
+    const std::size_t cols = rows.empty() ? 0 : rows.front().size();
+    put<std::uint64_t>(out, rows.size());
+    put<std::uint64_t>(out, cols);
+    for (const auto &row : rows) {
+        panicIf(row.size() != cols, "stage cache: ragged matrix rows");
+        putArray(out, row.data(), cols);
     }
 }
 
-/** Parses the section written by writeDataset(); false on mismatch. */
-bool
-readDataset(std::istringstream &in, const char *name, ml::Dataset &data)
+// The get functions consume what the put functions wrote from the
+// front of @p in. Every count is checked against the bytes that remain
+// before anything is allocated for it, so a malformed payload fails
+// cleanly instead of allocating or reading past its end.
+
+template <typename T>
+[[nodiscard]] bool
+getArray(std::string_view &in, T *values, std::size_t n)
 {
-    std::string line;
-    if (!std::getline(in, line))
+    if (n > in.size() / sizeof(T))
         return false;
-    std::istringstream header(line);
-    std::string tag;
-    std::size_t rows = 0, cols = 0;
-    int classes = 0;
-    if (!(header >> tag >> rows >> cols >> classes) || tag != name)
+    if (n > 0)
+        std::memcpy(values, in.data(), n * sizeof(T));
+    in.remove_prefix(n * sizeof(T));
+    return true;
+}
+
+template <typename T>
+[[nodiscard]] bool
+get(std::string_view &in, T &value)
+{
+    return getArray(in, &value, 1);
+}
+
+/** A length-prefixed label vector, every label in [0, classes). */
+[[nodiscard]] bool
+getLabels(std::string_view &in, std::vector<Label> &labels, Label classes)
+{
+    std::uint64_t n = 0;
+    if (!get(in, n) || n > in.size() / sizeof(Label))
         return false;
-    data.features.clear();
-    data.labels.clear();
+    labels.resize(static_cast<std::size_t>(n));
+    return getArray(in, labels.data(), labels.size()) &&
+           std::all_of(labels.begin(), labels.end(),
+                       [&](Label l) { return l >= 0 && l < classes; });
+}
+
+/** A matrix that must have exactly @p rows rows. */
+[[nodiscard]] bool
+getMatrix(std::string_view &in, std::vector<std::vector<double>> &out,
+          std::size_t rows)
+{
+    std::uint64_t stored_rows = 0, cols = 0;
+    if (!get(in, stored_rows) || !get(in, cols) || stored_rows != rows ||
+        (cols != 0 && rows > UINT64_MAX / cols) ||
+        rows * cols > in.size() / sizeof(double))
+        return false;
+    out.resize(rows);
+    for (auto &row : out) {
+        row.resize(static_cast<std::size_t>(cols));
+        if (!getArray(in, row.data(), row.size()))
+            return false;
+    }
+    return true;
+}
+
+/** One dataset section: the class count, the labels, the features. */
+void
+putDataset(std::string &out, const ml::Dataset &data)
+{
+    put<std::int32_t>(out, data.numClasses);
+    putLabels(out, data.labels);
+    putMatrix(out, data.features);
+}
+
+[[nodiscard]] bool
+getDataset(std::string_view &in, ml::Dataset &data)
+{
+    std::int32_t classes = 0;
+    if (!get(in, classes) || classes < 0)
+        return false;
     data.numClasses = classes;
-    data.features.reserve(rows);
-    data.labels.reserve(rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-        if (!std::getline(in, line))
-            return false;
-        if (line.rfind("row ", 0) != 0)
-            return false;
-        const char *cursor = line.c_str() + 4;
-        char *end = nullptr;
-        const long label = std::strtol(cursor, &end, 10);
-        if (end == cursor)
-            return false;
-        cursor = end;
-        std::vector<double> x(cols);
-        for (std::size_t j = 0; j < cols; ++j) {
-            x[j] = std::strtod(cursor, &end);
-            if (end == cursor)
-                return false;
-            cursor = end;
-        }
-        data.add(std::move(x), static_cast<Label>(label));
-    }
-    return true;
+    return getLabels(in, data.labels, classes) &&
+           getMatrix(in, data.features, data.labels.size());
 }
 
-/** One hexfloat-encoded vector<double> line: "<tag> <n> <%a>...". */
-void
-writeDoubleRow(std::ostringstream &out, const char *tag,
-               const std::vector<double> &values)
-{
-    out << tag << ' ' << values.size();
-    char buf[48];
-    for (const double v : values) {
-        std::snprintf(buf, sizeof(buf), "%a", v);
-        out << ' ' << buf;
-    }
-    out << '\n';
-}
-
+/** Reads the entry at @p path whole into @p content with one read. */
 bool
-readDoubleRow(std::istringstream &in, const char *tag,
-              std::vector<double> &values)
+readEntry(const std::string &path, std::string &content)
 {
-    std::string line;
-    if (!std::getline(in, line))
+    std::ifstream in(path, std::ios::binary);
+    std::error_code ec;
+    const std::uintmax_t size = fs::file_size(path, ec);
+    if (!in || ec)
         return false;
-    const std::string prefix = std::string(tag) + ' ';
-    if (line.rfind(prefix, 0) != 0)
-        return false;
-    const char *cursor = line.c_str() + prefix.size();
-    char *end = nullptr;
-    const long n = std::strtol(cursor, &end, 10);
-    if (end == cursor || n < 0)
-        return false;
-    cursor = end;
-    values.assign(static_cast<std::size_t>(n), 0.0);
-    for (long j = 0; j < n; ++j) {
-        values[static_cast<std::size_t>(j)] = std::strtod(cursor, &end);
-        if (end == cursor)
-            return false;
-        cursor = end;
-    }
-    return true;
-}
-
-/** One integer-label line: "<tag> <n> <label>...". */
-void
-writeLabelRow(std::ostringstream &out, const char *tag,
-              const std::vector<Label> &labels)
-{
-    out << tag << ' ' << labels.size();
-    for (const Label l : labels)
-        out << ' ' << l;
-    out << '\n';
-}
-
-bool
-readLabelRow(std::istringstream &in, const char *tag,
-             std::vector<Label> &labels)
-{
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    const std::string prefix = std::string(tag) + ' ';
-    if (line.rfind(prefix, 0) != 0)
-        return false;
-    const char *cursor = line.c_str() + prefix.size();
-    char *end = nullptr;
-    const long n = std::strtol(cursor, &end, 10);
-    if (end == cursor || n < 0)
-        return false;
-    cursor = end;
-    labels.assign(static_cast<std::size_t>(n), Label{});
-    for (long j = 0; j < n; ++j) {
-        const long v = std::strtol(cursor, &end, 10);
-        if (end == cursor)
-            return false;
-        labels[static_cast<std::size_t>(j)] = static_cast<Label>(v);
-        cursor = end;
-    }
+    content.resize(static_cast<std::size_t>(size));
+    in.read(content.data(), static_cast<std::streamsize>(size));
+    content.resize(static_cast<std::size_t>(in.gcount()));
     return true;
 }
 
@@ -190,15 +224,10 @@ std::string
 StageCache::frame(std::string_view kind, std::uint64_t key,
                   std::string_view payload)
 {
-    std::string framed = kHeaderPrefix;
-    framed += kind;
-    framed += " key=";
-    framed += hex16(key);
-    framed += '\n';
+    std::string framed = headerLine(kind, key);
+    framed.reserve(framed.size() + payload.size() + kTrailerSize);
     framed += payload;
-    char trailer[32];
-    std::snprintf(trailer, sizeof(trailer), "@crc %08x\n", crc32(framed));
-    framed += trailer;
+    framed += trailerFor(framed);
     return framed;
 }
 
@@ -206,26 +235,11 @@ bool
 StageCache::unframe(const std::string &text, std::string_view kind,
                     std::uint64_t key, std::string &payload)
 {
-    // Split off and verify the CRC trailer first: everything else
-    // assumes an intact payload.
-    const std::size_t trailer = text.rfind("@crc ");
-    if (trailer == std::string::npos || trailer == 0 ||
-        text[trailer - 1] != '\n')
-        return false;
-    unsigned long crc = 0;
-    if (std::sscanf(text.c_str() + trailer, "@crc %lx", &crc) != 1)
-        return false;
-    const std::string framed = text.substr(0, trailer);
-    if (crc32(framed) != static_cast<std::uint32_t>(crc))
-        return false;
-
-    const std::string header =
-        std::string(kHeaderPrefix) + std::string(kind) + " key=" + hex16(key);
-    const std::size_t newline = framed.find('\n');
-    if (newline == std::string::npos || framed.substr(0, newline) != header)
-        return false;
-    payload = framed.substr(newline + 1);
-    return true;
+    const std::optional<std::string_view> found =
+        framedPayload(text, kind, key);
+    if (found)
+        payload.assign(*found);
+    return found.has_value();
 }
 
 std::optional<std::string>
@@ -233,21 +247,17 @@ StageCache::lookup(std::string_view kind, std::uint64_t key)
 {
     const std::string path = entryPath(kind, key);
     std::string content;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
-            const std::lock_guard<std::mutex> lock(*mutex_);
-            ++stats_.misses;
-            return std::nullopt;
-        }
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        content = buffer.str();
+    if (!readEntry(path, content)) {
+        const std::lock_guard<std::mutex> lock(*mutex_);
+        ++stats_.misses;
+        return std::nullopt;
     }
-    std::string payload;
-    if (!unframe(content, kind, key, payload)) {
-        // A torn or corrupt entry is dead weight: drop it so the next
-        // run re-stores a clean one, and fall back to recomputing.
+    const std::optional<std::string_view> payload =
+        framedPayload(content, kind, key);
+    if (!payload) {
+        // A torn, corrupt or stale-format entry is dead weight: drop it
+        // so the next run re-stores a clean one, and fall back to
+        // recomputing.
         std::error_code ec;
         fs::remove(path, ec);
         warn("stage cache entry " + path +
@@ -257,6 +267,12 @@ StageCache::lookup(std::string_view kind, std::uint64_t key)
         ++stats_.misses;
         return std::nullopt;
     }
+    // Strip the header and trailer in place, so the payload needs no
+    // second buffer.
+    const std::size_t begin =
+        static_cast<std::size_t>(payload->data() - content.data());
+    content.resize(begin + payload->size());
+    content.erase(0, begin);
     // Touch-on-hit: evict() ranks entries by mtime, so a hit must
     // refresh the entry or a long-lived cache would evict its hottest
     // entries first (they are the oldest-written ones). Best-effort —
@@ -267,7 +283,7 @@ StageCache::lookup(std::string_view kind, std::uint64_t key)
         const std::lock_guard<std::mutex> lock(*mutex_);
         ++stats_.hits;
     }
-    return payload;
+    return content;
 }
 
 Status
@@ -330,35 +346,29 @@ StageCache::stats() const
 std::string
 encodeFeaturized(const FeaturizedEntry &entry)
 {
-    std::ostringstream out;
-    out << "meta dropped=" << entry.droppedTraces
-        << " collected=" << entry.collectedTraces
-        << " open=" << (entry.hasOpenWorld ? 1 : 0) << '\n';
-    writeDataset(out, "closed", entry.closedWorld);
+    std::string out;
+    put<std::uint64_t>(out, entry.droppedTraces);
+    put<std::uint64_t>(out, entry.collectedTraces);
+    put<std::uint8_t>(out, entry.hasOpenWorld ? 1 : 0);
+    putDataset(out, entry.closedWorld);
     if (entry.hasOpenWorld)
-        writeDataset(out, "open", entry.openWorld);
-    return out.str();
+        putDataset(out, entry.openWorld);
+    return out;
 }
 
 std::optional<FeaturizedEntry>
 decodeFeaturized(const std::string &payload)
 {
-    std::istringstream in(payload);
-    std::string line;
-    if (!std::getline(in, line))
-        return std::nullopt;
-    unsigned long long dropped = 0, collected = 0;
-    int open = 0;
-    if (std::sscanf(line.c_str(), "meta dropped=%llu collected=%llu open=%d",
-                    &dropped, &collected, &open) != 3)
-        return std::nullopt;
+    std::string_view in = payload;
     FeaturizedEntry entry;
-    entry.droppedTraces = dropped;
-    entry.collectedTraces = collected;
-    entry.hasOpenWorld = open != 0;
-    if (!readDataset(in, "closed", entry.closedWorld))
+    std::uint8_t open = 0;
+    if (!get(in, entry.droppedTraces) || !get(in, entry.collectedTraces) ||
+        !get(in, open) || open > 1)
         return std::nullopt;
-    if (entry.hasOpenWorld && !readDataset(in, "open", entry.openWorld))
+    entry.hasOpenWorld = open == 1;
+    if (!getDataset(in, entry.closedWorld) ||
+        (entry.hasOpenWorld && !getDataset(in, entry.openWorld)) ||
+        !in.empty())
         return std::nullopt;
     return entry;
 }
@@ -366,36 +376,23 @@ decodeFeaturized(const std::string &payload)
 std::string
 encodeFoldScores(const ml::FoldScores &fold)
 {
-    std::ostringstream out;
-    out << "scores " << fold.scores.size() << '\n';
-    for (const auto &row : fold.scores)
-        writeDoubleRow(out, "s", row);
-    writeLabelRow(out, "truths", fold.truths);
-    writeLabelRow(out, "predictions", fold.predictions);
-    return out.str();
+    std::string out;
+    putLabels(out, fold.truths);
+    putLabels(out, fold.predictions);
+    putMatrix(out, fold.scores);
+    return out;
 }
 
 std::optional<ml::FoldScores>
 decodeFoldScores(const std::string &payload)
 {
-    std::istringstream in(payload);
-    std::string line;
-    if (!std::getline(in, line))
-        return std::nullopt;
-    unsigned long long rows = 0;
-    if (std::sscanf(line.c_str(), "scores %llu", &rows) != 1)
-        return std::nullopt;
+    std::string_view in = payload;
     ml::FoldScores fold;
-    fold.scores.resize(rows);
-    for (auto &row : fold.scores)
-        if (!readDoubleRow(in, "s", row))
-            return std::nullopt;
-    if (!readLabelRow(in, "truths", fold.truths))
-        return std::nullopt;
-    if (!readLabelRow(in, "predictions", fold.predictions))
-        return std::nullopt;
-    if (fold.truths.size() != fold.scores.size() ||
-        fold.predictions.size() != fold.scores.size())
+    const Label any = std::numeric_limits<Label>::max();
+    if (!getLabels(in, fold.truths, any) ||
+        !getLabels(in, fold.predictions, any) ||
+        fold.predictions.size() != fold.truths.size() ||
+        !getMatrix(in, fold.scores, fold.truths.size()) || !in.empty())
         return std::nullopt;
     return fold;
 }

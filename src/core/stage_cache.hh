@@ -8,10 +8,10 @@
  * featurized datasets (sweeps that vary only the classifier or the
  * evaluation protocol), trained fold models (ml/serialize snapshots)
  * and per-fold evaluation scores. A hit replays the payload
- * bit-identically: doubles are serialized as hexfloats ("%a"), which
- * round-trip bit-exactly through strtod, so a cached run's artifact
- * matches the uncached run's except for phase timings and cache
- * provenance.
+ * bit-identically: the featurized and scores codecs store every double
+ * as its raw IEEE-754 bytes (NaN payloads and signed zeros included),
+ * so a cached run's artifact matches the uncached run's except for
+ * phase timings and cache provenance.
  *
  * Entries are keyed by (kind, fingerprint): the kind names the payload
  * namespace ("featurized", "model", "scores") and the fingerprint is
@@ -19,14 +19,22 @@
  * fingerprints, core/stage.hh). Any input change simply misses — stale
  * payloads can never leak into a non-matching run.
  *
- * Durability contract (inherited from the PR 7 feature cache this
- * generalizes): entries are committed with atomicWriteFile
- * (write-temp-fsync-rename, unique temp names), and every entry
- * carries a whole-file CRC32 trailer (base/hash.hh). A torn,
- * interleaved or bit-flipped entry is detected on lookup, removed, and
- * reported as a miss — the pipeline falls back to recomputing, never
- * to wrong data. Concurrent writers of the same key race to write
- * *identical* bytes (the pipeline is deterministic), so whichever
+ * An entry file is one header line, "# bigfish-stage-cache v2
+ * kind=<kind> key=<16 hex> order=<le|be>\n", then the payload bytes,
+ * then a fixed-width "@crc xxxxxxxx\n" trailer: a whole-file CRC32
+ * (base/hash.hh) read at a fixed offset from the end, so the payload
+ * may hold any bytes. The order tag names the host byte order the
+ * payload's raw numbers were written in; an entry from a host of the
+ * other order, or of an older format version, fails the header check
+ * and is treated like a corrupt one, so an existing cache directory
+ * refills once.
+ *
+ * Durability contract: entries are committed with atomicWriteFile
+ * (write-temp-fsync-rename, unique temp names). A torn, interleaved,
+ * bit-flipped or stale-format entry is detected on lookup, removed,
+ * and reported as a miss — the pipeline falls back to recomputing,
+ * never to wrong data. Concurrent writers of the same key race to
+ * write *identical* bytes (the pipeline is deterministic), so whichever
  * rename lands last is correct.
  */
 
@@ -70,9 +78,12 @@ class StageCache
     [[nodiscard]] static Result<StageCache> open(const std::string &dir);
 
     /**
-     * The cached payload for (@p kind, @p key), or nullopt on miss. A
-     * present but unreadable entry (CRC failure, malformed framing,
-     * kind/key mismatch) is removed and reported as a miss.
+     * The cached payload for (@p kind, @p key), or nullopt on miss. The
+     * entry is read with one read into a buffer sized from the file,
+     * and the header and trailer are stripped in place. A present but
+     * unreadable entry (CRC failure, malformed framing, other format
+     * version or byte order, kind/key mismatch) is removed and reported
+     * as a miss.
      */
     [[nodiscard]] std::optional<std::string> lookup(std::string_view kind,
                                                     std::uint64_t key);
@@ -117,9 +128,14 @@ class StageCache
 };
 
 // ---------------------------------------------------------------------
-// Stage payload codecs. Canonical text forms of the payloads the
-// fingerprinting pipeline caches; doubles are hexfloats, so a decoded
-// payload is bit-identical to the encoded one.
+// Stage payload codecs: one binary encoding for the payloads the
+// fingerprinting pipeline caches. Counts are uint64, labels int32, and
+// every feature or score row is its raw doubles, all in host byte order
+// and copied with memcpy, so a decoded payload is bit-identical to the
+// encoded one by construction. Decoders check every count against the
+// bytes that remain before allocating, reject rows × cols overflow,
+// out-of-range labels and trailing bytes, and return nullopt — never
+// crash — on any malformed payload.
 
 /** Everything one attacker's evaluation consumes downstream of
  *  featurization (the "featurized" payload). */

@@ -43,6 +43,49 @@ TEST(Crc32, DetectsSingleBitFlips)
     EXPECT_EQ(crc32(clean), crc32(std::string(clean)));
 }
 
+/** The bitwise CRC-32/IEEE definition, the reference for crc32(). */
+std::uint32_t
+referenceCrc32(std::string_view data)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (const char byte : data) {
+        crc ^= static_cast<unsigned char>(byte);
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xffffffffu;
+}
+
+std::string
+seededBytes(std::uint64_t seed, std::size_t n)
+{
+    Rng rng(seed);
+    std::string bytes(n, '\0');
+    for (char &b : bytes)
+        b = static_cast<char>(rng() & 0xffu);
+    return bytes;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    // The 8-byte blocks and the bytewise tail must agree with the
+    // definition for every split of a buffer into blocks and tail, and
+    // whatever the start address's alignment.
+    const std::string bytes = seededBytes(7, 257 + 8);
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 257; ++len) {
+            const std::string_view slice(bytes.data() + offset, len);
+            ASSERT_EQ(crc32(slice), referenceCrc32(slice))
+                << "offset " << offset << " length " << len;
+        }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOnOneMegabyte)
+{
+    const std::string bytes = seededBytes(2022, 1 << 20);
+    EXPECT_EQ(crc32(bytes), referenceCrc32(bytes));
+}
+
 TEST(Fnv64, MatchesReferenceVectors)
 {
     // FNV-1a 64-bit reference vectors: offset basis for "", and the

@@ -1,27 +1,76 @@
 /**
  * @file
  * Tests of the content-addressed stage cache (core/stage_cache.hh):
- * payload round-trip bit-exactness through the featurized codec,
+ * payload round-trip bit-exactness through the binary codecs (NaN
+ * payloads, signed zeros, subnormals and infinities included),
  * hit/miss/eviction accounting, fingerprint invalidation via
- * stageFingerprint (core/stage.hh), corrupted-entry fallback, and
- * concurrent-writer safety under the deterministic-payload contract.
+ * stageFingerprint (core/stage.hh), corrupted, stale-format and
+ * CRC-valid-but-malformed entry fallback, and concurrent-writer safety
+ * under the deterministic-payload contract.
  */
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <chrono>
+#include <cinttypes>
 #include <cstdint>
-#include <cstring>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/hash.hh"
 #include "base/rng.hh"
 #include "base/thread_pool.hh"
 #include "core/stage.hh"
 #include "core/stage_cache.hh"
+
+// Allocation tracking for the decoder-hardening tests: while armed,
+// every operator new records the largest request, so a test can prove
+// a malformed payload never made the decoder allocate beyond its size.
+namespace {
+std::atomic<bool> gTrackAllocations{false};
+std::atomic<std::size_t> gLargestAllocation{0};
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    if (gTrackAllocations.load(std::memory_order_relaxed)) {
+        std::size_t seen = gLargestAllocation.load(std::memory_order_relaxed);
+        while (size > seen &&
+               !gLargestAllocation.compare_exchange_weak(seen, size))
+            ;
+    }
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+// The replacement pair is malloc/free; GCC flags the free() once it
+// inlines these into std::allocator, as if new and free were mixed.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace bigfish::core {
 namespace {
@@ -47,7 +96,7 @@ openFresh(const std::string &leaf)
 }
 
 /** A deterministic dataset with awkward doubles (negative zero, inexact
- *  sums, tiny magnitudes) to stress the hexfloat round-trip. */
+ *  sums, tiny magnitudes) to stress the round-trip. */
 ml::Dataset
 makeDataset(std::uint64_t seed, std::size_t rows, std::size_t cols)
 {
@@ -78,24 +127,46 @@ makeEntry(std::uint64_t seed, bool open_world)
     return entry;
 }
 
+/** Doubles a text codec cannot carry bit-exactly: a quiet NaN with a
+ *  non-default payload, -NaN, -0.0, the smallest and the largest
+ *  negative subnormal, and both infinities. */
+std::vector<double>
+specialValues()
+{
+    const std::uint64_t bits[] = {
+        0x7ff8'0000'dead'beefULL, 0xfff8'0000'0000'0000ULL,
+        0x8000'0000'0000'0000ULL, 0x0000'0000'0000'0001ULL,
+        0x800f'ffff'ffff'ffffULL, 0x7ff0'0000'0000'0000ULL,
+        0xfff0'0000'0000'0000ULL,
+    };
+    std::vector<double> values;
+    for (const std::uint64_t b : bits)
+        values.push_back(std::bit_cast<double>(b));
+    return values;
+}
+
+void
+expectRowsBitEqual(const std::vector<std::vector<double>> &got,
+                   const std::vector<std::vector<double>> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].size(), want[i].size());
+        for (std::size_t j = 0; j < got[i].size(); ++j)
+            // Bit-level comparison: -0.0 == 0.0 and NaN != NaN under
+            // operator==, but the replay contract is bitwise identity.
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i][j]),
+                      std::bit_cast<std::uint64_t>(want[i][j]))
+                << "row " << i << " col " << j;
+    }
+}
+
 void
 expectDatasetsBitEqual(const ml::Dataset &got, const ml::Dataset &want)
 {
-    ASSERT_EQ(got.size(), want.size());
     ASSERT_EQ(got.numClasses, want.numClasses);
     ASSERT_EQ(got.labels, want.labels);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got.features[i].size(), want.features[i].size());
-        for (std::size_t j = 0; j < got.features[i].size(); ++j) {
-            // Bit-level comparison: -0.0 == 0.0 under operator==, but
-            // the replay contract is bitwise identity.
-            std::uint64_t gbits = 0, wbits = 0;
-            static_assert(sizeof(double) == sizeof(std::uint64_t));
-            std::memcpy(&gbits, &got.features[i][j], sizeof(gbits));
-            std::memcpy(&wbits, &want.features[i][j], sizeof(wbits));
-            EXPECT_EQ(gbits, wbits) << "row " << i << " col " << j;
-        }
-    }
+    expectRowsBitEqual(got.features, want.features);
 }
 
 std::string
@@ -176,16 +247,43 @@ TEST(StageCache, FoldScoresRoundTripBitExactly)
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->truths, fold.truths);
     EXPECT_EQ(hit->predictions, fold.predictions);
-    ASSERT_EQ(hit->scores.size(), fold.scores.size());
-    for (std::size_t i = 0; i < fold.scores.size(); ++i) {
-        ASSERT_EQ(hit->scores[i].size(), fold.scores[i].size());
-        for (std::size_t j = 0; j < fold.scores[i].size(); ++j) {
-            std::uint64_t gbits = 0, wbits = 0;
-            std::memcpy(&gbits, &hit->scores[i][j], sizeof(gbits));
-            std::memcpy(&wbits, &fold.scores[i][j], sizeof(wbits));
-            EXPECT_EQ(gbits, wbits) << "row " << i << " col " << j;
-        }
+    expectRowsBitEqual(hit->scores, fold.scores);
+}
+
+TEST(StageCache, SpecialValuesRoundTripBitExactly)
+{
+    // "%a"/strtod drops NaN payload bits, so the old text codec was
+    // never bit-exact for these; raw doubles must be.
+    StageCache cache = openFresh("special");
+    const std::vector<double> special = specialValues();
+    FeaturizedEntry entry;
+    entry.hasOpenWorld = true;
+    ml::FoldScores fold;
+    for (std::size_t r = 0; r < special.size(); ++r) {
+        std::vector<double> row = special;
+        std::rotate(row.begin(), row.begin() + static_cast<long>(r),
+                    row.end());
+        entry.closedWorld.add(row, static_cast<Label>(r % 3));
+        entry.openWorld.add(row, static_cast<Label>(r % 4));
+        fold.scores.push_back(row);
+        fold.truths.push_back(static_cast<Label>(r));
+        fold.predictions.push_back(static_cast<Label>(r));
     }
+    ASSERT_TRUE(cache.put("featurized", 1, encodeFeaturized(entry)).isOk());
+    ASSERT_TRUE(cache.put("scores", 2, encodeFoldScores(fold)).isOk());
+
+    const auto featurized = cache.lookup("featurized", 1);
+    ASSERT_TRUE(featurized.has_value());
+    const auto hit = decodeFeaturized(*featurized);
+    ASSERT_TRUE(hit.has_value());
+    expectDatasetsBitEqual(hit->closedWorld, entry.closedWorld);
+    expectDatasetsBitEqual(hit->openWorld, entry.openWorld);
+
+    const auto scores = cache.lookup("scores", 2);
+    ASSERT_TRUE(scores.has_value());
+    const auto replayed = decodeFoldScores(*scores);
+    ASSERT_TRUE(replayed.has_value());
+    expectRowsBitEqual(replayed->scores, fold.scores);
 }
 
 TEST(StageCache, FingerprintChangesWithEveryInput)
@@ -273,6 +371,59 @@ TEST(StageCache, UnframeRejectsKindOrKeyMismatch)
     EXPECT_EQ(payload, "payload\n");
     EXPECT_FALSE(StageCache::unframe(text, "model", 12, payload));
     EXPECT_FALSE(StageCache::unframe(text, "scores", 11, payload));
+}
+
+TEST(StageCache, UnframeReadsTheTrailerAtAFixedOffset)
+{
+    // A binary payload need not end in '\n' and may itself contain
+    // "@crc "; the trailer is found by position, never by search.
+    using namespace std::string_literals;
+    const std::string binary = "\0@crc 00000000\n\xff\x01"s;
+    const std::string text = StageCache::frame("scores", 5, binary);
+    EXPECT_EQ(text.rfind("# bigfish-stage-cache v2 kind=scores ", 0), 0u);
+    std::string payload;
+    ASSERT_TRUE(StageCache::unframe(text, "scores", 5, payload));
+    EXPECT_EQ(payload, binary);
+    EXPECT_TRUE(StageCache::unframe(StageCache::frame("scores", 5, ""),
+                                    "scores", 5, payload));
+    EXPECT_TRUE(payload.empty());
+    // Dropping or adding one byte at the end breaks the trailer.
+    EXPECT_FALSE(StageCache::unframe(text.substr(0, text.size() - 1),
+                                     "scores", 5, payload));
+    EXPECT_FALSE(StageCache::unframe(text + "\n", "scores", 5, payload));
+}
+
+TEST(StageCache, StaleV1EntryMissesIsRemovedAndIsStoredAgainAsV2)
+{
+    StageCache cache = openFresh("stale_v1");
+    const std::uint64_t key = 0xabcd'ef01ULL;
+    // A well-formed entry in the old text format, CRC intact.
+    char header[96];
+    std::snprintf(header, sizeof(header),
+                  "# bigfish-stage-cache v1 kind=featurized key=%016" PRIx64
+                  "\n",
+                  key);
+    std::string v1 =
+        std::string(header) + "meta dropped=0 collected=4 open=0\n";
+    char trailer[16];
+    std::snprintf(trailer, sizeof(trailer), "@crc %08x\n", crc32(v1));
+    v1 += trailer;
+    const std::string path = cache.entryPath("featurized", key);
+    writeFile(path, v1);
+
+    EXPECT_FALSE(cache.lookup("featurized", key).has_value());
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+
+    const FeaturizedEntry entry = makeEntry(8, false);
+    ASSERT_TRUE(
+        cache.put("featurized", key, encodeFeaturized(entry)).isOk());
+    EXPECT_EQ(readFile(path).rfind("# bigfish-stage-cache v2 ", 0), 0u);
+    const auto payload = cache.lookup("featurized", key);
+    ASSERT_TRUE(payload.has_value());
+    const auto hit = decodeFeaturized(*payload);
+    ASSERT_TRUE(hit.has_value());
+    expectDatasetsBitEqual(hit->closedWorld, entry.closedWorld);
 }
 
 TEST(StageCache, EvictRemovesOldestBeyondBudget)
@@ -370,6 +521,176 @@ TEST(StageCache, ConcurrentWritersOfSameKeyLeaveAValidEntry)
     ASSERT_TRUE(hit.has_value());
     expectDatasetsBitEqual(hit->closedWorld, entry.closedWorld);
     expectDatasetsBitEqual(hit->openWorld, entry.openWorld);
+}
+
+
+/** Appends raw host-order values: hand-built payloads in the binary
+ *  codecs' layout, for inputs their encoders never produce. */
+class Bytes
+{
+  public:
+    template <typename T>
+    Bytes &
+    operator<<(T value)
+    {
+        out_.append(reinterpret_cast<const char *>(&value), sizeof(value));
+        return *this;
+    }
+    const std::string &str() const { return out_; }
+
+  private:
+    std::string out_;
+};
+
+/** A closed-world-only featurized payload: the given class count and
+ *  labels, a rows × cols matrix header and @p doubles feature values. */
+std::string
+closedOnlyPayload(std::int32_t classes,
+                  const std::vector<std::int32_t> &labels,
+                  std::uint64_t rows, std::uint64_t cols,
+                  std::size_t doubles)
+{
+    Bytes b;
+    b << std::uint64_t{0} << std::uint64_t{labels.size()} << std::uint8_t{0}
+      << classes << std::uint64_t{labels.size()};
+    for (const std::int32_t label : labels)
+        b << label;
+    b << rows << cols;
+    for (std::size_t i = 0; i < doubles; ++i)
+        b << 0.5 * static_cast<double>(i);
+    return b.str();
+}
+
+/** A scores payload with the given truth, prediction and matrix
+ *  shapes. */
+std::string
+scoresPayload(std::uint64_t truths, std::uint64_t predictions,
+              std::uint64_t rows, std::uint64_t cols)
+{
+    Bytes b;
+    b << truths;
+    for (std::uint64_t i = 0; i < truths; ++i)
+        b << std::int32_t{0};
+    b << predictions;
+    for (std::uint64_t i = 0; i < predictions; ++i)
+        b << std::int32_t{1};
+    b << rows << cols;
+    for (std::uint64_t i = 0; i < rows * cols; ++i)
+        b << 0.25;
+    return b.str();
+}
+
+/**
+ * Stores @p payload as a declared stage's entry — framed with a correct
+ * CRC, so only the decoder can reject it — and probes it through the
+ * stage graph. Returns whether it replayed; a rejected entry must be
+ * gone, and no single allocation of the probe may outgrow a small
+ * multiple of the entry plus I/O buffers (a count read from disk never
+ * sizes an allocation by itself).
+ */
+template <typename Out>
+bool
+replays(StageCache &cache, const StageCodec<Out> &codec,
+        const std::string &payload)
+{
+    StageGraph graph(&cache);
+    const std::size_t id = graph.declare("stage", "eval", "canon\n", {});
+    const std::uint64_t key = graph.fingerprint(id);
+    EXPECT_TRUE(cache.put(codec.kind, key, payload).isOk());
+    gLargestAllocation = 0;
+    gTrackAllocations = true;
+    const bool hit = graph.fromCache(id, codec).has_value();
+    gTrackAllocations = false;
+    EXPECT_LE(gLargestAllocation.load(), (64u << 10) + 8 * payload.size());
+    if (!hit) {
+        EXPECT_FALSE(fs::exists(cache.entryPath(codec.kind, key)));
+    }
+    return hit;
+}
+
+const StageCodec<FeaturizedEntry> kFeaturizedCodec{
+    "featurized", &encodeFeaturized, &decodeFeaturized};
+const StageCodec<ml::FoldScores> kScoresCodec{"scores", &encodeFoldScores,
+                                              &decodeFoldScores};
+
+TEST(StageCacheDecoder, HandBuiltPayloadsMatchTheCodecLayout)
+{
+    // Positive controls: the builders below are only evidence if their
+    // well-formed outputs do decode.
+    StageCache cache = openFresh("decoder_layout");
+    EXPECT_TRUE(replays(cache, kFeaturizedCodec,
+                        closedOnlyPayload(7, {0, 6}, 2, 3, 6)));
+    EXPECT_TRUE(replays(cache, kScoresCodec, scoresPayload(3, 3, 3, 4)));
+}
+
+TEST(StageCacheDecoder, EveryTruncationOfAFeaturizedPayloadMisses)
+{
+    StageCache cache = openFresh("decoder_truncation");
+    const std::string full = encodeFeaturized(makeEntry(5, true));
+    ASSERT_TRUE(replays(cache, kFeaturizedCodec, full));
+    for (std::size_t n = 0; n < full.size(); ++n)
+        ASSERT_FALSE(replays(cache, kFeaturizedCodec, full.substr(0, n)))
+            << "truncated to " << n << " of " << full.size() << " bytes";
+}
+
+TEST(StageCacheDecoder, OverflowingShapeMisses)
+{
+    StageCache cache = openFresh("decoder_overflow");
+    // rows × cols wraps to exactly 0 in 64 bits ...
+    EXPECT_FALSE(replays(cache, kFeaturizedCodec,
+                         closedOnlyPayload(7, {0, 1}, 2, 1ULL << 63, 0)));
+    // ... or fits in 64 bits but not once scaled to bytes.
+    EXPECT_FALSE(replays(cache, kFeaturizedCodec,
+                         closedOnlyPayload(7, {0, 1}, 2, 1ULL << 61, 0)));
+    EXPECT_FALSE(replays(
+        cache, kFeaturizedCodec,
+        closedOnlyPayload(7, {0, 1}, 2,
+                          std::numeric_limits<std::uint64_t>::max(), 0)));
+    // A label count larger than the payload.
+    EXPECT_FALSE(replays(cache, kScoresCodec,
+                         scoresPayload(0, 0, 0, 0).replace(
+                             0, 8, std::string(8, '\xff'))));
+}
+
+TEST(StageCacheDecoder, OutOfRangeLabelMisses)
+{
+    StageCache cache = openFresh("decoder_labels");
+    EXPECT_FALSE(replays(cache, kFeaturizedCodec,
+                         closedOnlyPayload(7, {0, 7}, 2, 3, 6)));
+    EXPECT_FALSE(replays(cache, kFeaturizedCodec,
+                         closedOnlyPayload(7, {-1, 0}, 2, 3, 6)));
+    EXPECT_FALSE(replays(cache, kFeaturizedCodec,
+                         closedOnlyPayload(-1, {}, 0, 0, 0)));
+}
+
+TEST(StageCacheDecoder, MatrixRowCountDisagreeingWithLabelsMisses)
+{
+    // With zero columns no feature bytes betray the wrong row count;
+    // only the stored count does.
+    StageCache cache = openFresh("decoder_rows");
+    EXPECT_FALSE(replays(cache, kFeaturizedCodec,
+                         closedOnlyPayload(7, {0, 1}, 3, 0, 0)));
+    EXPECT_FALSE(replays(cache, kFeaturizedCodec,
+                         closedOnlyPayload(7, {0, 1}, 1, 3, 3)));
+    EXPECT_FALSE(replays(cache, kScoresCodec, scoresPayload(3, 3, 4, 0)));
+}
+
+TEST(StageCacheDecoder, TrailingBytesMiss)
+{
+    StageCache cache = openFresh("decoder_trailing");
+    EXPECT_FALSE(replays(cache, kFeaturizedCodec,
+                         encodeFeaturized(makeEntry(6, false)) + '\0'));
+    EXPECT_FALSE(
+        replays(cache, kScoresCodec, scoresPayload(3, 3, 3, 4) + "x"));
+}
+
+TEST(StageCacheDecoder, ScoresWithMismatchedLengthsMiss)
+{
+    StageCache cache = openFresh("decoder_scores");
+    EXPECT_FALSE(replays(cache, kScoresCodec, scoresPayload(3, 2, 3, 4)));
+    EXPECT_FALSE(replays(cache, kScoresCodec, scoresPayload(2, 3, 3, 4)));
+    EXPECT_FALSE(replays(cache, kScoresCodec, scoresPayload(3, 3, 2, 4)));
+    EXPECT_FALSE(replays(cache, kScoresCodec, scoresPayload(3, 3, 4, 4)));
 }
 
 } // namespace

@@ -29,21 +29,23 @@ run(const core::RunContext &ctx)
     core::CollectionConfig background = quiet;
     background.backgroundApps = true;
 
-    auto bg = core::runFingerprinting(background, pipeline);
-    if (!bg.isOk())
-        return bg.status();
-    artifact.addResult("loop-counting_background", bg.value());
-
-    auto qt = core::runFingerprinting(quiet, pipeline);
-    if (!qt.isOk())
-        return qt.status();
-    artifact.addResult("loop-counting_quiet", qt.value());
+    const core::FingerprintJob jobs[] = {
+        {background, {background.attacker}},
+        {quiet, {quiet.attacker}},
+    };
+    auto batch = core::runFingerprintingBatch(jobs, pipeline);
+    if (!batch.isOk())
+        return batch.status();
+    const core::FingerprintResult &bg = batch.value()[0][0];
+    const core::FingerprintResult &qt = batch.value()[1][0];
+    artifact.addResult("loop-counting_background", bg);
+    artifact.addResult("loop-counting_quiet", qt);
 
     std::printf("\nbackground noise (Slack + Spotify playing music):\n");
     std::printf("  paper:    96.6%% -> 93.4%%\n");
     std::printf("  measured: %.1f%% -> %.1f%%\n",
-                qt.value().closedWorld.top1Mean * 100.0,
-                bg.value().closedWorld.top1Mean * 100.0);
+                qt.closedWorld.top1Mean * 100.0,
+                bg.closedWorld.top1Mean * 100.0);
     std::printf("\nexpected shape: background apps cost only a few "
                 "points.\n");
     return artifact;

@@ -72,24 +72,33 @@ run(const core::RunContext &ctx)
                 "comb paper", "comb meas", "cache comb paper",
                 "cache comb meas"});
 
-    for (const auto &cell : cells()) {
-        core::CollectionConfig cfg = core::collectionForScale(scale);
-        cfg.machine = cell.machine;
-        cfg.browser = cell.profile;
+    auto pipeline = core::pipelineForScale(scale);
+    pipeline.openWorldExtra = scale.openWorldExtra;
 
-        auto pipeline = core::pipelineForScale(scale);
-        pipeline.openWorldExtra = scale.openWorldExtra;
+    // Both attackers observe the same victim: one shared-timeline
+    // collection per cell halves the dominant phase without changing
+    // either attacker's traces. All 8 cells are declared into one
+    // stage graph, so their collection, featurization and folds share
+    // the executor with no per-cell barrier; the tables render in cell
+    // order afterwards.
+    const std::vector<Cell> table_cells = cells();
+    std::vector<core::FingerprintJob> jobs;
+    for (const auto &cell : table_cells) {
+        core::FingerprintJob job;
+        job.collection = core::collectionForScale(scale);
+        job.collection.machine = cell.machine;
+        job.collection.browser = cell.profile;
+        job.attackers = {attack::AttackerKind::LoopCounting,
+                         attack::AttackerKind::SweepCounting};
+        jobs.push_back(std::move(job));
+    }
+    auto batch = core::runFingerprintingBatch(jobs, pipeline);
+    if (!batch.isOk())
+        return batch.status();
 
-        // Both attackers observe the same victim: one shared-timeline
-        // collection halves the dominant phase without changing either
-        // attacker's traces.
-        const attack::AttackerKind kinds[] = {
-            attack::AttackerKind::LoopCounting,
-            attack::AttackerKind::SweepCounting};
-        auto shared = core::runFingerprintingShared(cfg, kinds, pipeline);
-        if (!shared.isOk())
-            return shared.status();
-        const auto &results = shared.value();
+    for (std::size_t c = 0; c < table_cells.size(); ++c) {
+        const Cell &cell = table_cells[c];
+        const auto &results = batch.value()[c];
         const auto &loop_result = results[0];
         const auto &sweep_result = results[1];
 
@@ -137,7 +146,6 @@ run(const core::RunContext &ctx)
                                  sweep_result.closedWorld.topKStd),
                  "-"});
         }
-        std::printf("finished %s / %s\n", cell.browser, cell.os);
     }
 
     std::printf("\nCLOSED WORLD (top-1 accuracy, chance = %.1f%%)\n%s",

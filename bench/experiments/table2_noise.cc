@@ -56,20 +56,23 @@ run(const core::RunContext &ctx)
 
     // Loop- and sweep-counting attack the same victim under each noise
     // condition: shared-timeline collection runs the expensive synthesis
-    // once per condition instead of once per (attacker, condition).
+    // once per condition instead of once per (attacker, condition). The
+    // three conditions run as one batch on the shared executor.
+    std::vector<core::FingerprintJob> jobs;
+    for (const auto &variant : variants)
+        jobs.push_back({variant.config, {kinds[0], kinds[1]}});
+    auto batch = core::runFingerprintingBatch(jobs, pipeline);
+    if (!batch.isOk())
+        return batch.status();
     double acc[2][3];
     for (std::size_t v = 0; v < 3; ++v) {
-        auto shared = core::runFingerprintingShared(variants[v].config,
-                                                    kinds, pipeline);
-        if (!shared.isOk())
-            return shared.status();
         for (std::size_t a = 0; a < 2; ++a) {
+            const core::FingerprintResult &result = batch.value()[v][a];
             artifact.addResult(std::string(attackers[a]) + "_" +
                                    variants[v].slug,
-                               shared.value()[a]);
-            acc[a][v] = shared.value()[a].closedWorld.top1Mean;
+                               result);
+            acc[a][v] = result.closedWorld.top1Mean;
         }
-        std::printf("finished loop+sweep / %s\n", variants[v].name);
     }
 
     const auto expected = [&ctx](const std::string &metric) {

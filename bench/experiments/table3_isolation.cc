@@ -59,22 +59,25 @@ run(const core::RunContext &ctx)
     };
     Table table({"isolation mechanism", "top-1 paper", "top-1 meas",
                  "top-5 paper", "top-5 meas"});
-    int step_index = 0;
+    // Mechanisms accumulate: step k runs under steps 0..k. Every step
+    // is its own job in one batch.
+    std::vector<core::FingerprintJob> jobs;
     for (const auto &step : steps) {
-        step.apply(config); // Mechanisms accumulate.
-        auto result = core::runFingerprinting(config, pipeline);
-        if (!result.isOk())
-            return result.status();
-        const std::string label =
-            "isolation_step" + std::to_string(step_index++);
-        artifact.addResult(label, result.value());
-        table.addRow({step.name, expected(label + "_top1"),
-                      formatPercentPm(result.value().closedWorld.top1Mean,
-                                      result.value().closedWorld.top1Std),
+        step.apply(config);
+        jobs.push_back({config, {config.attacker}});
+    }
+    auto batch = core::runFingerprintingBatch(jobs, pipeline);
+    if (!batch.isOk())
+        return batch.status();
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+        const core::FingerprintResult &result = batch.value()[k][0];
+        const std::string label = "isolation_step" + std::to_string(k);
+        artifact.addResult(label, result);
+        table.addRow({steps[k].name, expected(label + "_top1"),
+                      formatPercentPm(result.closedWorld.top1Mean,
+                                      result.closedWorld.top1Std),
                       expected(label + "_top5"),
-                      formatPercent(
-                          result.value().closedWorld.topKMean)});
-        std::printf("finished: %s\n", step.name);
+                      formatPercent(result.closedWorld.topKMean)});
     }
 
     std::printf("\n%s", table.render().c_str());

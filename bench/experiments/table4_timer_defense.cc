@@ -49,26 +49,29 @@ run(const core::RunContext &ctx)
     };
     Table table({"timer", "A (ms)", "P (ms)", "top-1 paper", "top-1 meas",
                  "top-5 paper", "top-5 meas"});
+    std::vector<core::FingerprintJob> jobs;
     for (const auto &row : rows) {
         core::CollectionConfig config = core::collectionForScale(scale);
         config.browser = web::BrowserProfile::nativePython();
         config.timerOverride = row.spec;
         config.period = row.period_ms * kMsec;
-        auto result = core::runFingerprinting(config, pipeline);
-        if (!result.isOk())
-            return result.status();
+        jobs.push_back({config, {config.attacker}});
+    }
+    auto batch = core::runFingerprintingBatch(jobs, pipeline);
+    if (!batch.isOk())
+        return batch.status();
+    for (std::size_t r = 0; r < jobs.size(); ++r) {
+        const RowSpec &row = rows[r];
+        const core::FingerprintResult &result = batch.value()[r][0];
         const std::string label = std::string(row.timer) + "_p" +
                                   std::to_string(row.period_ms);
-        artifact.addResult(label, result.value());
+        artifact.addResult(label, result);
         table.addRow({row.timer, row.a_ms, std::to_string(row.period_ms),
                       expected(label + "_top1"),
-                      formatPercentPm(result.value().closedWorld.top1Mean,
-                                      result.value().closedWorld.top1Std),
+                      formatPercentPm(result.closedWorld.top1Mean,
+                                      result.closedWorld.top1Std),
                       expected(label + "_top5"),
-                      formatPercent(
-                          result.value().closedWorld.topKMean)});
-        std::printf("finished: %s timer, P = %d ms\n", row.timer,
-                    row.period_ms);
+                      formatPercent(result.closedWorld.topKMean)});
     }
 
     std::printf("\n%s", table.render().c_str());

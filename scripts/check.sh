@@ -44,9 +44,13 @@
 #               values identical across --threads and BF_SIMD.
 #   address   — full build + ctest under AddressSanitizer.
 #   undefined — full build + ctest under UBSan.
-#   thread    — full build + ctest under ThreadSanitizer.
+#   thread    — full build + ctest under ThreadSanitizer; this covers
+#               the task executor and stage-graph tests (TaskGroup.*,
+#               StageGraphExecute.*) and the batched pipeline
+#               (PipelineBatch.*) in tests/parallel_test.cc.
 #   threads8  — plain build + ctest with BF_THREADS=8 to exercise the
-#               parallel execution paths (and the bit-identity tests).
+#               parallel execution paths (and the bit-identity tests,
+#               the executor and batch tests included).
 #
 # Sanitizer and threads8 stages build with BIGFISH_WERROR=ON so the
 # hardened warning set (-Wall -Wextra -Wshadow -Wconversion) gates the

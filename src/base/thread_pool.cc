@@ -1,10 +1,10 @@
 #include "base/thread_pool.hh"
 
-#include <atomic>
 #include <cstdlib>
-#include <exception>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -12,18 +12,22 @@ namespace bigfish {
 
 namespace {
 
-thread_local bool tls_on_worker = false;
+thread_local int tls_worker_index = 0;
+
+/** parallelFor chunks outrank graph tasks, so a region opened inside a
+ *  task finishes before its waiter picks up unrelated work. */
+constexpr std::int64_t kRegionPriority =
+    std::numeric_limits<std::int64_t>::max();
 
 } // namespace
 
 ThreadPool::ThreadPool(int threads) : threads_(threads < 1 ? 1 : threads)
 {
-    // A 1-thread pool is the serial path: no workers, no queue traffic.
-    if (threads_ == 1)
-        return;
-    workers_.reserve(threads_);
-    for (int i = 0; i < threads_; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    // The waiting caller is one of the executing threads, so the pool
+    // owns one worker fewer; a 1-thread pool is the serial path.
+    workers_.reserve(static_cast<std::size_t>(threads_ - 1));
+    for (int i = 1; i < threads_; ++i)
+        workers_.emplace_back([this, i] { workerLoop(i); });
 }
 
 ThreadPool::~ThreadPool()
@@ -37,31 +41,49 @@ ThreadPool::~ThreadPool()
         worker.join();
 }
 
-bool
-ThreadPool::onWorkerThread()
+ThreadPool::Task
+ThreadPool::pop(ReadyQueue &queue)
 {
-    return tls_on_worker;
+    // priority_queue::top() is const; the task is moved out just before
+    // pop() discards the moved-from husk.
+    Task task = std::move(const_cast<Task &>(queue.top()));
+    queue.pop();
+    return task;
 }
 
 void
-ThreadPool::workerLoop()
+ThreadPool::runTask(Task &task)
 {
-    tls_on_worker = true;
+    std::exception_ptr error;
+    try {
+        task.fn();
+    } catch (...) {
+        error = std::current_exception();
+    }
+    // Release the task's captures before the group can observe the
+    // completion and its owner return.
+    task.fn = nullptr;
+    TaskGroup &group = *task.group;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (error && !group.error_)
+        group.error_ = error;
+    if (--group.pending_ == 0)
+        wake_.notify_all();
+}
+
+void
+ThreadPool::workerLoop(int index)
+{
+    tls_worker_index = index;
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock,
-                       [this] { return stopping_ || !tasks_.empty(); });
-            if (tasks_.empty()) {
-                if (stopping_)
-                    return;
-                continue;
-            }
-            task = std::move(tasks_.front());
-            tasks_.pop();
-        }
-        task();
+        wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+        if (queue_.empty())
+            return; // stopping, and every queued task has run
+        Task task = pop(queue_);
+        lock.unlock();
+        runTask(task);
+        lock.lock();
     }
 }
 
@@ -71,15 +93,14 @@ ThreadPool::parallelFor(std::size_t n,
 {
     if (n == 0)
         return;
-    // Serial pool, tiny range, or a nested region on a worker thread:
-    // run the exact serial loop inline.
-    if (threads_ == 1 || n == 1 || onWorkerThread()) {
+    // Serial pool or a single index: the exact serial loop, inline.
+    if (threads_ == 1 || n == 1) {
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
 
-    // Static chunking: a few chunks per worker balances uneven work
+    // Static chunking: a few chunks per thread balances uneven work
     // items without dynamic stealing (results never depend on the
     // assignment, only wall-clock does).
     const std::size_t max_chunks =
@@ -88,69 +109,88 @@ ThreadPool::parallelFor(std::size_t n,
     const std::size_t base = n / chunks;
     const std::size_t extra = n % chunks;
 
-    struct Region
-    {
-        std::atomic<std::size_t> remaining;
-        std::mutex doneMutex;
-        std::condition_variable done;
-        std::exception_ptr error;
-        std::mutex errorMutex;
-    };
-    auto region = std::make_shared<Region>();
-    region->remaining.store(chunks, std::memory_order_relaxed);
-
+    TaskGroup group(*this);
     std::size_t lo = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const std::size_t len = base + (c < extra ? 1 : 0);
-            const std::size_t hi = lo + len;
-            tasks_.push([&body, region, lo, hi] {
-                try {
-                    for (std::size_t i = lo; i < hi; ++i)
-                        body(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> error_lock(region->errorMutex);
-                    if (!region->error)
-                        region->error = std::current_exception();
-                }
-                if (region->remaining.fetch_sub(
-                        1, std::memory_order_acq_rel) == 1) {
-                    std::lock_guard<std::mutex> done_lock(region->doneMutex);
-                    region->done.notify_all();
-                }
-            });
-            lo = hi;
-        }
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t hi = lo + base + (c < extra ? 1 : 0);
+        group.submit(kRegionPriority, [&body, lo, hi] {
+            for (std::size_t i = lo; i < hi; ++i)
+                body(i);
+        });
+        lo = hi;
     }
-    wake_.notify_all();
+    group.wait();
+}
 
-    // The caller lends a hand instead of blocking idle: pop region
-    // chunks (or anything else queued) until the region drains.
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            if (region->remaining.load(std::memory_order_acquire) == 0)
-                break;
-            if (!tasks_.empty()) {
-                task = std::move(tasks_.front());
-                tasks_.pop();
-            }
-        }
-        if (task) {
-            task();
+TaskGroup::TaskGroup(ThreadPool &pool) : pool_(pool) {}
+
+TaskGroup::~TaskGroup()
+{
+    try {
+        wait();
+    } catch (...) {
+        // An unwaited group's failure has no one left to report to;
+        // draining it is what keeps its tasks from outliving it.
+    }
+}
+
+void
+TaskGroup::submit(std::int64_t priority, std::function<void()> task)
+{
+    {
+        std::lock_guard<std::mutex> lock(pool_.mutex_);
+        ++pending_;
+        pool_.queue_.push(ThreadPool::Task{priority, pool_.nextSeq_++, this,
+                                           std::move(task)});
+    }
+    pool_.wake_.notify_one();
+}
+
+void
+TaskGroup::submitToWaiter(std::int64_t priority, std::function<void()> task)
+{
+    {
+        std::lock_guard<std::mutex> lock(pool_.mutex_);
+        ++pending_;
+        waiterQueue_.push(ThreadPool::Task{priority, pool_.nextSeq_++, this,
+                                           std::move(task)});
+    }
+    // The waiter may be asleep among the workers.
+    pool_.wake_.notify_all();
+}
+
+void
+TaskGroup::wait()
+{
+    std::unique_lock<std::mutex> lock(pool_.mutex_);
+    while (pending_ > 0) {
+        const bool shared = !pool_.queue_.empty();
+        const bool own = !waiterQueue_.empty();
+        if (!shared && !own) {
+            // Everything left is running on other threads; sleep until
+            // one of them queues a follow-up or the group drains.
+            pool_.wake_.wait(lock);
             continue;
         }
-        std::unique_lock<std::mutex> lock(region->doneMutex);
-        region->done.wait(lock, [&] {
-            return region->remaining.load(std::memory_order_acquire) == 0;
-        });
-        break;
+        const bool pick_own =
+            own && (!shared || ThreadPool::RunsLater()(pool_.queue_.top(),
+                                                       waiterQueue_.top()));
+        ThreadPool::Task task =
+            ThreadPool::pop(pick_own ? waiterQueue_ : pool_.queue_);
+        lock.unlock();
+        pool_.runTask(task);
+        lock.lock();
     }
+    std::exception_ptr error = std::exchange(error_, nullptr);
+    lock.unlock();
+    if (error)
+        std::rethrow_exception(error);
+}
 
-    if (region->error)
-        std::rethrow_exception(region->error);
+int
+currentWorkerIndex()
+{
+    return tls_worker_index;
 }
 
 int

@@ -1,8 +1,8 @@
 /**
  * @file
- * Deterministic parallel execution: a small worker pool plus
- * parallelFor/parallelMap helpers used by the collection, training and
- * kernel hot paths.
+ * Deterministic parallel execution: one priority ready-queue executor
+ * (ThreadPool + TaskGroup) plus the parallelFor/parallelMap helpers
+ * built on it.
  *
  * Design rules that make parallel runs bit-identical to serial ones:
  *
@@ -10,13 +10,22 @@
  *    slots; the scheduler controls timing, never results. parallelFor
  *    hands out static chunks of the index range, so the arithmetic each
  *    index performs (including floating-point accumulation order) is
- *    the same at any thread count.
- *  - With one thread (or inside a worker, to avoid nested-pool
- *    deadlocks) the helpers degenerate to the exact serial loop.
- *  - Exceptions thrown by a body are captured, the pool drains the
- *    remaining chunks, and the first exception is rethrown on the
- *    calling thread, so a failed parallel region cannot wedge or leak
- *    work into the next one.
+ *    the same at any thread count. Task graphs fix every seed and
+ *    reduction order when they are declared, not when tasks finish.
+ *  - Exactly threadCount() threads execute tasks at any moment: the
+ *    pool owns threadCount() - 1 workers and the thread waiting on a
+ *    TaskGroup runs queued tasks itself until the group drains. A
+ *    waiter with nothing runnable blocks on a condition variable
+ *    (no polling, no sleeps). A task that opens a nested region waits
+ *    the same way, so nesting never adds a runnable thread and cannot
+ *    deadlock.
+ *  - With one thread there are no workers at all: every task runs
+ *    inline on the waiting caller, highest priority first (FIFO among
+ *    equal priorities), which is the exact serial schedule.
+ *  - Exceptions thrown by a task are captured, the group drains every
+ *    remaining task, and the first exception is rethrown on the
+ *    waiting thread, so a failed region cannot wedge or leak work into
+ *    the next one.
  *
  * Thread-count policy: the global pool defaults to the BF_THREADS
  * environment variable when set, else the hardware concurrency;
@@ -28,6 +37,8 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -38,14 +49,17 @@
 
 namespace bigfish {
 
-/** A fixed-size worker pool with a shared FIFO task queue. */
+class TaskGroup;
+
+/** A fixed-size executor with one shared priority ready queue. */
 class ThreadPool
 {
   public:
     /**
-     * @param threads Worker count; clamped to >= 1. A pool of 1 runs
-     *                everything inline on the calling thread and spawns
-     *                no workers at all (the exact serial path).
+     * @param threads Executing threads; clamped to >= 1. The pool spawns
+     *                threads - 1 workers; the waiting caller is the
+     *                last one. A pool of 1 spawns no workers at all (the
+     *                exact serial path).
      */
     explicit ThreadPool(int threads);
 
@@ -55,7 +69,7 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** The number of threads that execute parallelFor bodies. */
+    /** The number of threads that execute tasks. */
     int threadCount() const { return threads_; }
 
     /**
@@ -88,19 +102,108 @@ class ThreadPool
     }
 
   private:
-    void workerLoop();
+    friend class TaskGroup;
 
-    /** True on a pool worker thread (nested regions then run inline). */
-    static bool onWorkerThread();
+    struct Task
+    {
+        std::int64_t priority = 0;
+        /** Submission order: FIFO among equal priorities. */
+        std::uint64_t seq = 0;
+        TaskGroup *group = nullptr;
+        std::function<void()> fn;
+    };
+
+    /** Heap order: higher priority first, then earlier submission. */
+    struct RunsLater
+    {
+        bool
+        operator()(const Task &a, const Task &b) const
+        {
+            if (a.priority != b.priority)
+                return a.priority < b.priority;
+            return a.seq > b.seq;
+        }
+    };
+
+    using ReadyQueue =
+        std::priority_queue<Task, std::vector<Task>, RunsLater>;
+
+    void workerLoop(int index);
+
+    /** Pops the next task of a non-empty @p queue (mutex_ held). */
+    static Task pop(ReadyQueue &queue);
+
+    /** Runs @p task on the calling thread and retires it from its
+     *  group. Called without mutex_ held. */
+    void runTask(Task &task);
 
     int threads_;
     std::vector<std::thread> workers_;
 
     std::mutex mutex_;
+    /** Signalled when a task is queued, a group drains, or the pool
+     *  stops; workers and waiting callers both sleep on it. */
     std::condition_variable wake_;
-    std::queue<std::function<void()>> tasks_;
+    ReadyQueue queue_;
+    std::uint64_t nextSeq_ = 0;
     bool stopping_ = false;
 };
+
+/**
+ * A set of tasks on one pool whose completion one thread waits for.
+ * Tasks may submit follow-up tasks to their own group; wait() returns
+ * once every task, follow-ups included, has finished.
+ */
+class TaskGroup
+{
+  public:
+    explicit TaskGroup(ThreadPool &pool);
+
+    /** Drains the group (as wait(), but swallowing any exception). */
+    ~TaskGroup();
+
+    TaskGroup(const TaskGroup &) = delete;
+    TaskGroup &operator=(const TaskGroup &) = delete;
+
+    /**
+     * Queues @p task. Higher @p priority runs first; equal priorities
+     * run in submission order. Safe from any thread, including from a
+     * running task of this group.
+     */
+    void submit(std::int64_t priority, std::function<void()> task);
+
+    /**
+     * submit(), but only the thread in wait() runs @p task (ordered by
+     * priority together with the shared queue). For work that should
+     * stay on one thread, e.g. to reuse that thread's allocator arena.
+     */
+    void submitToWaiter(std::int64_t priority, std::function<void()> task);
+
+    /**
+     * Runs queued tasks on the calling thread until every task of this
+     * group has finished, blocking (never spinning) while the queue is
+     * empty and tasks are still running elsewhere. Rethrows the first
+     * exception any task threw, after the group has drained.
+     */
+    void wait();
+
+  private:
+    friend class ThreadPool;
+
+    ThreadPool &pool_;
+    /** Submitted but not yet finished; guarded by the pool mutex. */
+    std::size_t pending_ = 0;
+    /** submitToWaiter() tasks; guarded by the pool mutex. */
+    ThreadPool::ReadyQueue waiterQueue_;
+    std::exception_ptr error_;
+};
+
+/**
+ * Index of the calling thread within the pool executing it: 0 for a
+ * thread that is not a pool worker (the caller that runs tasks while it
+ * waits), 1..threadCount()-1 for workers.
+ */
+int currentWorkerIndex();
 
 /**
  * Thread count the global pool uses when not overridden: BF_THREADS

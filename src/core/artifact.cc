@@ -1,5 +1,6 @@
 #include "core/artifact.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -44,8 +45,55 @@ hex16(std::uint64_t value)
 } // namespace
 
 RunArtifact::RunArtifact(std::string experiment, spec::RunSpec spec)
-    : experiment_(std::move(experiment)), spec_(std::move(spec))
+    : experiment_(std::move(experiment)), spec_(std::move(spec)),
+      origin_(stageClockSeconds())
 {
+}
+
+RunArtifact::PhaseIndex
+RunArtifact::phaseIndex(const std::string &phase)
+{
+    if (phase == "collect")
+        return kCollect;
+    if (phase == "featurize")
+        return kFeaturize;
+    if (phase == "train")
+        return kTrain;
+    if (phase == "eval")
+        return kEval;
+    panic("unknown experiment phase: " + phase);
+}
+
+double
+RunArtifact::phaseWall(PhaseIndex index) const
+{
+    std::vector<std::pair<double, double>> spans = phases_[index].intervals;
+    std::sort(spans.begin(), spans.end());
+    double total = 0.0;
+    double lo = 0.0, hi = 0.0;
+    bool open = false;
+    for (const auto &[start, end] : spans) {
+        if (open && start <= hi) {
+            hi = std::max(hi, end);
+            continue;
+        }
+        if (open)
+            total += hi - lo;
+        lo = start;
+        hi = end;
+        open = true;
+    }
+    if (open)
+        total += hi - lo;
+    return total + phases_[index].extraWall;
+}
+
+double
+RunArtifact::utilization() const
+{
+    if (wallSeconds_ <= 0.0 || threads_ <= 0)
+        return 0.0;
+    return cpuSeconds_ / (wallSeconds_ * threads_);
 }
 
 void
@@ -56,10 +104,16 @@ RunArtifact::addResult(const std::string &label,
     // are a rollup reduced from it. Skipped stages cost nothing and
     // roll up as zero.
     for (const StageReport &report : result.stages) {
-        addPhaseSeconds(report.phase, report.cpuSeconds,
-                        report.wallSeconds);
         StageReport labeled = report;
         labeled.name = label + "/" + report.name;
+        Phase &bucket = phases_[phaseIndex(report.phase)];
+        bucket.cpu += report.cpuSeconds;
+        if (report.worker >= 0) {
+            labeled.startSeconds -= origin_;
+            labeled.endSeconds -= origin_;
+            bucket.intervals.emplace_back(labeled.startSeconds,
+                                          labeled.endSeconds);
+        }
         stages_.push_back(std::move(labeled));
     }
     collectedTraces_ += result.collectedTraces;
@@ -80,21 +134,9 @@ void
 RunArtifact::addPhaseSeconds(const std::string &phase, double cpuSeconds,
                              double wallSeconds)
 {
-    if (phase == "collect") {
-        collectCpuSeconds_ += cpuSeconds;
-        collectWallSeconds_ += wallSeconds;
-    } else if (phase == "featurize") {
-        featurizeCpuSeconds_ += cpuSeconds;
-        featurizeWallSeconds_ += wallSeconds;
-    } else if (phase == "train") {
-        trainCpuSeconds_ += cpuSeconds;
-        trainWallSeconds_ += wallSeconds;
-    } else if (phase == "eval") {
-        evalCpuSeconds_ += cpuSeconds;
-        evalWallSeconds_ += wallSeconds;
-    } else {
-        panic("unknown experiment phase: " + phase);
-    }
+    Phase &bucket = phases_[phaseIndex(phase)];
+    bucket.cpu += cpuSeconds;
+    bucket.extraWall += wallSeconds;
 }
 
 void
@@ -132,7 +174,8 @@ RunArtifact::explainText() const
     // no simulation (and cache/journal replays) report zeros.
     Table table({"stage", "phase", "fingerprint", "cache", "cpu_s",
                  "wall_s", "items", "dropped", "sim_events", "sim_irqs",
-                 "sim_allocs", "sim_MB_sorted", "sim_events_per_s"});
+                 "sim_allocs", "sim_MB_sorted", "sim_events_per_s",
+                 "start_s", "end_s", "worker"});
     for (const StageReport &report : stages_) {
         const double events_per_s =
             report.cpuSeconds > 0.0
@@ -152,9 +195,17 @@ RunArtifact::explainText() const
                                    static_cast<double>(
                                        report.sim.bytesSorted) /
                                        (1024.0 * 1024.0)),
-                      formatDouble("%.0f", events_per_s)});
+                      formatDouble("%.0f", events_per_s),
+                      formatDouble("%.3f", report.startSeconds),
+                      formatDouble("%.3f", report.endSeconds),
+                      report.worker < 0 ? std::string("-")
+                                        : std::to_string(report.worker)});
     }
-    return table.render();
+    return table.render() +
+           "run: wall " + formatDouble("%.3f", wallSeconds_) + " s, cpu " +
+           formatDouble("%.3f", cpuSeconds_) + " s, threads " +
+           std::to_string(threads_) + ", utilization " +
+           formatDouble("%.3f", utilization()) + "\n";
 }
 
 std::string
@@ -185,24 +236,30 @@ RunArtifact::toJson() const
     out += "  \"traces\": {\"collected\": " +
            std::to_string(collectedTraces_) +
            ", \"dropped\": " + std::to_string(droppedTraces_) + "},\n";
+    // The run's timing shares one line, so the Seconds-line convention
+    // filters utilization out of bit-for-bit artifact diffs too.
     out += "  \"wallSeconds\": " + formatDouble("%.3f", wallSeconds_) +
+           ", \"cpuSeconds\": " + formatDouble("%.3f", cpuSeconds_) +
+           ", \"utilization\": " + formatDouble("%.3f", utilization()) +
            ",\n";
     out += "  \"phases\": {\"collectCpuSeconds\": " +
-           formatDouble("%.3f", collectCpuSeconds_) +
+           formatDouble("%.3f", collectCpuSeconds()) +
            ", \"collectWallSeconds\": " +
-           formatDouble("%.3f", collectWallSeconds_) +
+           formatDouble("%.3f", collectWallSeconds()) +
            ", \"featurizeCpuSeconds\": " +
-           formatDouble("%.3f", featurizeCpuSeconds_) +
+           formatDouble("%.3f", featurizeCpuSeconds()) +
            ", \"featurizeWallSeconds\": " +
-           formatDouble("%.3f", featurizeWallSeconds_) +
+           formatDouble("%.3f", featurizeWallSeconds()) +
            ", \"trainCpuSeconds\": " +
-           formatDouble("%.3f", trainCpuSeconds_) +
+           formatDouble("%.3f", trainCpuSeconds()) +
            ", \"trainWallSeconds\": " +
-           formatDouble("%.3f", trainWallSeconds_) +
-           ", \"evalCpuSeconds\": " + formatDouble("%.3f", evalCpuSeconds_) +
+           formatDouble("%.3f", trainWallSeconds()) +
+           ", \"evalCpuSeconds\": " +
+           formatDouble("%.3f", evalCpuSeconds()) +
            ", \"evalWallSeconds\": " +
-           formatDouble("%.3f", evalWallSeconds_) + "},\n";
-    // One line per stage, each carrying the *Seconds keys: timing and
+           formatDouble("%.3f", evalWallSeconds()) + "},\n";
+    // One line per stage, each carrying the *Seconds keys: timing, the
+    // stage's place on the timeline (start/end offsets, worker) and
     // cache provenance legitimately differ between cold and warm runs,
     // and the Seconds-line convention is what lets tooling diff
     // everything else bit-for-bit. The schema-v3 sim* counters ride on
@@ -236,7 +293,10 @@ RunArtifact::toJson() const
                ", \"simBytesSorted\": " +
                std::to_string(s.sim.bytesSorted) +
                ", \"simEventsPerSec\": " +
-               formatDouble("%.0f", events_per_s) + "}";
+               formatDouble("%.0f", events_per_s) +
+               ", \"startSeconds\": " + formatDouble("%.3f", s.startSeconds) +
+               ", \"endSeconds\": " + formatDouble("%.3f", s.endSeconds) +
+               ", \"worker\": " + std::to_string(s.worker) + "}";
     }
     out += first_stage ? "],\n" : "\n  ],\n";
     out += "  \"metrics\": {";

@@ -4,9 +4,10 @@
  *
  * This generalizes the old bench `BenchReport` into a value type any
  * caller can inspect: headline metrics (in insertion order), per-phase
- * CPU and wall-clock buckets (collect/featurize/train/eval — reported
- * separately because fold-level wall sums exceed the true wall time
- * under parallel folds or timeshared cores), the fully-resolved
+ * CPU and elapsed buckets (collect/featurize/train/eval: CPU is the sum
+ * over the phase's stages, elapsed is the union of their intervals on
+ * the run's timeline, so overlapping stages are not double-counted),
+ * the run's CPU time and core utilization, the fully-resolved
  * spec::RunSpec that produced the run, seed provenance, and the paper's
  * expected-shape numbers from the experiment descriptor. Serialized to
  * JSON it embeds the resolved spec, so feeding the artifact file back
@@ -59,7 +60,8 @@ class RunArtifact
 
     /**
      * Appends @p result's per-stage table (stage names prefixed with
-     * "<label>/"), reduces it into the phase buckets, and appends the
+     * "<label>/", start/end offsets rebased to this artifact's
+     * creation), reduces it into the phase buckets, and appends the
      * standard metrics: `<label>_top1` always, `<label>_open_combined`
      * when the run had an open world. (Same naming as the old
      * BenchReport, so metric streams stay comparable.)
@@ -71,13 +73,16 @@ class RunArtifact
     void addMetric(const std::string &name, double value);
 
     /**
-     * Adds CPU and wall seconds to one phase bucket ("collect",
-     * "featurize", "train" or "eval"); panics on an unknown phase.
+     * Adds CPU and wall seconds measured outside any stage to one phase
+     * bucket ("collect", "featurize", "train" or "eval"); the wall adds
+     * to the bucket's interval union. Panics on an unknown phase.
      */
     void addPhaseSeconds(const std::string &phase, double cpuSeconds,
                          double wallSeconds);
 
     void setWallSeconds(double seconds) { wallSeconds_ = seconds; }
+    /** Process CPU seconds the run consumed (every thread). */
+    void setCpuSeconds(double seconds) { cpuSeconds_ = seconds; }
     void setThreads(int threads) { threads_ = threads; }
     void setSeedProvenance(SeedProvenance provenance);
     void setExpected(std::vector<ExpectedValue> expected);
@@ -98,16 +103,20 @@ class RunArtifact
     /** Traces dropped as unusable (fault accounting). */
     std::size_t droppedTraces() const { return droppedTraces_; }
 
-    double collectCpuSeconds() const { return collectCpuSeconds_; }
-    double collectWallSeconds() const { return collectWallSeconds_; }
-    double featurizeCpuSeconds() const { return featurizeCpuSeconds_; }
-    double featurizeWallSeconds() const { return featurizeWallSeconds_; }
-    double trainCpuSeconds() const { return trainCpuSeconds_; }
-    double trainWallSeconds() const { return trainWallSeconds_; }
-    double evalCpuSeconds() const { return evalCpuSeconds_; }
-    double evalWallSeconds() const { return evalWallSeconds_; }
+    double collectCpuSeconds() const { return phase(kCollect).cpu; }
+    double collectWallSeconds() const { return phaseWall(kCollect); }
+    double featurizeCpuSeconds() const { return phase(kFeaturize).cpu; }
+    double featurizeWallSeconds() const { return phaseWall(kFeaturize); }
+    double trainCpuSeconds() const { return phase(kTrain).cpu; }
+    double trainWallSeconds() const { return phaseWall(kTrain); }
+    double evalCpuSeconds() const { return phase(kEval).cpu; }
+    double evalWallSeconds() const { return phaseWall(kEval); }
     double wallSeconds() const { return wallSeconds_; }
+    double cpuSeconds() const { return cpuSeconds_; }
     int threads() const { return threads_; }
+    /** cpu / (wall x threads): how busy the run kept its threads; 0
+     *  until wall, CPU and threads are all known. */
+    double utilization() const;
     const SeedProvenance &seedProvenance() const { return provenance_; }
     const std::vector<ExpectedValue> &expected() const { return expected_; }
 
@@ -116,8 +125,9 @@ class RunArtifact
 
     /**
      * Human-readable per-stage table for `bigfish run --explain`:
-     * stage name, phase, input fingerprint, cache provenance and
-     * timing/accounting columns.
+     * stage name, phase, input fingerprint, cache provenance,
+     * timing/accounting columns and each stage's place on the run's
+     * timeline (start/end offsets, worker), then a utilization line.
      */
     std::string explainText() const;
 
@@ -136,21 +146,39 @@ class RunArtifact
     [[nodiscard]] Status writeJson(const std::string &path) const;
 
   private:
+    enum PhaseIndex
+    {
+        kCollect,
+        kFeaturize,
+        kTrain,
+        kEval,
+        kPhases
+    };
+
+    /** One rollup bucket: CPU sum, stage intervals, untimed wall. */
+    struct Phase
+    {
+        double cpu = 0.0;
+        std::vector<std::pair<double, double>> intervals;
+        double extraWall = 0.0;
+    };
+
+    static PhaseIndex phaseIndex(const std::string &phase);
+    const Phase &phase(PhaseIndex index) const { return phases_[index]; }
+    /** Length of the union of the phase's intervals, plus its extra. */
+    double phaseWall(PhaseIndex index) const;
+
     std::string experiment_;
     spec::RunSpec spec_;
     SeedProvenance provenance_;
     std::vector<ExpectedValue> expected_;
     std::vector<std::pair<std::string, double>> metrics_;
     std::vector<StageReport> stages_;
-    double collectCpuSeconds_ = 0.0;
-    double collectWallSeconds_ = 0.0;
-    double featurizeCpuSeconds_ = 0.0;
-    double featurizeWallSeconds_ = 0.0;
-    double trainCpuSeconds_ = 0.0;
-    double trainWallSeconds_ = 0.0;
-    double evalCpuSeconds_ = 0.0;
-    double evalWallSeconds_ = 0.0;
+    Phase phases_[kPhases];
+    /** stageClockSeconds() when the artifact was created. */
+    double origin_ = 0.0;
     double wallSeconds_ = 0.0;
+    double cpuSeconds_ = 0.0;
     int threads_ = 0;
     std::size_t collectedTraces_ = 0;
     std::size_t droppedTraces_ = 0;

@@ -188,28 +188,30 @@ TraceCollector::collectOneMulti(
     return out;
 }
 
-std::vector<Result<attack::Trace>>
-TraceCollector::collectCellCheckpointed(
+CollectedCell
+TraceCollector::collectCell(
     int world, SiteId site_key, const web::SiteSignature &site,
-    int run_index, std::span<const attack::AttackerKind> attackers,
-    sim::PerfCounters *perf) const
+    int run_index, std::span<const attack::AttackerKind> attackers) const
 {
+    CollectedCell cell;
     if (checkpoint_ != nullptr) {
         auto cached = checkpoint_->lookup(world, site_key, run_index);
         // A cell journaled under a different attacker set cannot occur
         // (the fingerprint keys the attacker list), but stay defensive:
         // a size mismatch falls through to a fresh collection.
-        // Replayed cells deliberately add nothing to *perf: the counters
-        // measure work performed, exactly like cpuSeconds.
-        if (cached.has_value() && cached->size() == attackers.size())
-            return std::move(*cached);
+        // Replayed cells deliberately add nothing to the perf counters:
+        // they measure work performed, exactly like cpuSeconds.
+        if (cached.has_value() && cached->size() == attackers.size()) {
+            cell.traces = std::move(*cached);
+            return cell;
+        }
     }
-    auto cell = collectOneMulti(site, run_index, attackers, perf);
+    cell.traces = collectOneMulti(site, run_index, attackers, &cell.perf);
     if (checkpoint_ != nullptr) {
         // A journal that stops accepting records (disk full, journal
         // file deleted) only costs resumability, never the run itself.
-        const Status appended =
-            checkpoint_->appendCell(world, site_key, run_index, cell);
+        const Status appended = checkpoint_->appendCell(
+            world, site_key, run_index, cell.traces);
         if (!appended.isOk())
             warnOnce("collector/checkpoint-append",
                      "checkpoint append failed (run continues without "
@@ -217,6 +219,45 @@ TraceCollector::collectCellCheckpointed(
                          appended.toString());
     }
     return cell;
+}
+
+Result<std::vector<attack::TraceSet>>
+assembleSweep(std::vector<CollectedCell> &cells, std::size_t attackers,
+              std::optional<Label> relabel, bool require_traces,
+              const char *world, std::vector<CollectionStats> *stats,
+              sim::PerfCounters *perf)
+{
+    std::vector<CollectionStats> local(attackers);
+    std::vector<attack::TraceSet> sets(attackers);
+    for (attack::TraceSet &set : sets)
+        set.traces.reserve(cells.size());
+    for (CollectedCell &cell : cells) {
+        if (perf != nullptr)
+            *perf += cell.perf;
+        for (std::size_t a = 0; a < attackers; ++a) {
+            ++local[a].attempted;
+            if (!cell.traces[a].isOk()) {
+                ++local[a].dropped;
+                warnOnce("collector/dropped-trace",
+                         "dropping unusable trace(s); first: " +
+                             cell.traces[a].status().toString());
+                continue;
+            }
+            ++local[a].collected;
+            if (relabel)
+                cell.traces[a].value().label = *relabel;
+            sets[a].add(std::move(cell.traces[a].value()));
+        }
+    }
+    if (stats != nullptr)
+        *stats = local;
+    for (std::size_t a = 0; a < attackers; ++a) {
+        if (require_traces && sets[a].traces.empty())
+            return Status(exhaustedError(
+                std::string(world) + " collection dropped all " +
+                std::to_string(local[a].attempted) + " traces"));
+    }
+    return sets;
 }
 
 attack::Trace
@@ -263,51 +304,20 @@ TraceCollector::collectClosedWorldMulti(
 
     // Every (site, run) cell derives its randomness from the config seed
     // alone, so the cells are independent and collect in parallel; each
-    // result lands in its own pre-sized slot. The accounting pass below
-    // walks the slots in serial order, so the produced TraceSets, the
+    // result lands in its own pre-sized slot and assembleSweep() walks
+    // the slots in serial order, so the produced TraceSets, the
     // dropped-trace stats and the summed perf counters are identical at
     // any thread count.
-    auto results = parallelMap(cells, [&](std::size_t idx) {
+    auto cell_results = parallelMap(cells, [&](std::size_t idx) {
         const SiteId id = static_cast<SiteId>(
             idx / static_cast<std::size_t>(traces_per_site));
         const int run = static_cast<int>(
             idx % static_cast<std::size_t>(traces_per_site));
-        sim::PerfCounters cell_perf;
-        auto traces = collectCellCheckpointed(
-            kCheckpointClosedWorld, id, catalog.site(id), run, attackers,
-            perf != nullptr ? &cell_perf : nullptr);
-        return std::make_pair(std::move(traces), cell_perf);
+        return collectCell(kCheckpointClosedWorld, id, catalog.site(id),
+                           run, attackers);
     });
-    std::vector<CollectionStats> local(attackers.size());
-    std::vector<attack::TraceSet> sets(attackers.size());
-    for (attack::TraceSet &set : sets)
-        set.traces.reserve(cells);
-    for (auto &result : results) {
-        auto &cell = result.first;
-        if (perf != nullptr)
-            *perf += result.second;
-        for (std::size_t a = 0; a < attackers.size(); ++a) {
-            ++local[a].attempted;
-            if (!cell[a].isOk()) {
-                ++local[a].dropped;
-                warnOnce("collector/dropped-trace",
-                         "dropping unusable trace(s); first: " +
-                             cell[a].status().toString());
-                continue;
-            }
-            ++local[a].collected;
-            sets[a].add(std::move(cell[a].value()));
-        }
-    }
-    if (stats != nullptr)
-        *stats = local;
-    for (std::size_t a = 0; a < attackers.size(); ++a) {
-        if (sets[a].traces.empty())
-            return Status(exhaustedError(
-                "closed-world collection dropped all " +
-                std::to_string(local[a].attempted) + " traces"));
-    }
-    return sets;
+    return assembleSweep(cell_results, attackers.size(), std::nullopt,
+                         true, "closed-world", stats, perf);
 }
 
 attack::TraceSet
@@ -355,45 +365,14 @@ TraceCollector::collectOpenWorldMulti(
     // the closed world.
     // The journal keys open-world cells by extension index (not the
     // one-off site id), which is stable across catalog id schemes.
-    auto results = parallelMap(cells, [&](std::size_t i) {
-        sim::PerfCounters cell_perf;
-        auto traces = collectCellCheckpointed(
-            kCheckpointOpenWorld, static_cast<SiteId>(i),
-            catalog.openWorldSite(static_cast<int>(i)), 0, attackers,
-            perf != nullptr ? &cell_perf : nullptr);
-        return std::make_pair(std::move(traces), cell_perf);
+    auto cell_results = parallelMap(cells, [&](std::size_t i) {
+        return collectCell(kCheckpointOpenWorld, static_cast<SiteId>(i),
+                           catalog.openWorldSite(static_cast<int>(i)), 0,
+                           attackers);
     });
-    std::vector<CollectionStats> local(attackers.size());
-    std::vector<attack::TraceSet> sets(attackers.size());
-    for (attack::TraceSet &set : sets)
-        set.traces.reserve(cells);
-    for (auto &result : results) {
-        auto &cell = result.first;
-        if (perf != nullptr)
-            *perf += result.second;
-        for (std::size_t a = 0; a < attackers.size(); ++a) {
-            ++local[a].attempted;
-            if (!cell[a].isOk()) {
-                ++local[a].dropped;
-                warnOnce("collector/dropped-trace",
-                         "dropping unusable trace(s); first: " +
-                             cell[a].status().toString());
-                continue;
-            }
-            ++local[a].collected;
-            cell[a].value().label = non_sensitive_label;
-            sets[a].add(std::move(cell[a].value()));
-        }
-    }
-    if (stats != nullptr)
-        *stats = local;
-    for (std::size_t a = 0; a < attackers.size(); ++a) {
-        if (num_extra > 0 && sets[a].traces.empty())
-            return Status(exhaustedError(
-                "open-world collection dropped all " +
-                std::to_string(local[a].attempted) + " traces"));
-    }
-    return sets;
+    return assembleSweep(cell_results, attackers.size(),
+                         non_sensitive_label, num_extra > 0, "open-world",
+                         stats, perf);
 }
 
 attack::TraceSet

@@ -102,6 +102,32 @@ struct CollectionStats
     std::size_t dropped = 0;   ///< Traces dropped as unusable.
 };
 
+/** One (site, run) cell of a sweep: every attacker's trace (or the
+ *  reason it is unusable) plus the simulator work the cell cost. */
+struct CollectedCell
+{
+    std::vector<Result<attack::Trace>> traces;
+    sim::PerfCounters perf;
+};
+
+/**
+ * The serial accounting pass every sweep ends with: walks @p cells in
+ * order, sums their perf counters into @p perf (optional), and moves
+ * each attacker's usable traces into that attacker's set — relabelled
+ * @p relabel when set (the open world's non-sensitive class) — while
+ * counting attempts, collections and drops into @p stats (optional,
+ * resized to @p attackers). Because the pass alone decides order and
+ * accounting, the sets are identical however the cells were scheduled.
+ * Fails when an attacker kept no trace at all and @p require_traces;
+ * @p world names the sweep in that error ("closed-world", ...). The
+ * cells' traces are moved out.
+ */
+[[nodiscard]] Result<std::vector<attack::TraceSet>>
+assembleSweep(std::vector<CollectedCell> &cells, std::size_t attackers,
+              std::optional<Label> relabel, bool require_traces,
+              const char *world, std::vector<CollectionStats> *stats,
+              sim::PerfCounters *perf);
+
 /** Collects traces for one configuration. */
 class TraceCollector
 {
@@ -223,6 +249,18 @@ class TraceCollector
                           std::vector<CollectionStats> *stats = nullptr,
                           sim::PerfCounters *perf = nullptr) const;
 
+    /**
+     * One cell of a closed/open-world sweep for every attacker: serves
+     * (world, site_key, run) from the attached journal when it was
+     * completed earlier, otherwise collects it (collectOneMulti) and
+     * journals it. The sweeps above and the pipeline's per-cell
+     * collection tasks all go through this one path.
+     */
+    [[nodiscard]] CollectedCell
+    collectCell(int world, SiteId site_key, const web::SiteSignature &site,
+                int run_index,
+                std::span<const attack::AttackerKind> attackers) const;
+
   private:
     /** Per-(site, run) root randomness. */
     Rng traceRng(SiteId site_id, int run_index) const;
@@ -244,17 +282,6 @@ class TraceCollector
                        const sim::FaultPlan &plan,
                        std::uint64_t timer_seed,
                        sim::PerfCounters *perf = nullptr) const;
-
-    /**
-     * Serves (world, site_key, run) from the attached journal when
-     * completed earlier; otherwise collects and journals it. The
-     * no-journal path is a plain collectOneMulti() call.
-     */
-    [[nodiscard]] std::vector<Result<attack::Trace>>
-    collectCellCheckpointed(int world, SiteId site_key,
-                            const web::SiteSignature &site, int run_index,
-                            std::span<const attack::AttackerKind> attackers,
-                            sim::PerfCounters *perf = nullptr) const;
 
     CollectionConfig config_;
     sim::InterruptSynthesizer synthesizer_;

@@ -16,6 +16,12 @@
  * bit-identically, and the per-stage timing/cache table comes back in
  * FingerprintResult::stages.
  *
+ * runFingerprintingBatch() declares many configurations into one graph
+ * and executes it once: every job's per-(site, run) collection tasks,
+ * featurization and per-fold train/score tasks share the executor with
+ * no barrier between jobs or phases, and each job's raw traces are
+ * freed as soon as its featurization finishes.
+ *
  * Error contract: runFingerprinting() returns Result<FingerprintResult>.
  * Traces that come back unusable (fault-truncated, empty) are dropped
  * with accounting in FingerprintResult::droppedTraces rather than
@@ -147,6 +153,28 @@ runFingerprintingSharedOrDie(
     const CollectionConfig &collection,
     std::span<const attack::AttackerKind> attackers,
     const PipelineConfig &pipeline);
+
+/** One configuration of a batch: a collection setup plus the attackers
+ *  sharing its victim timelines (see runFingerprintingShared()). */
+struct FingerprintJob
+{
+    CollectionConfig collection;
+    std::vector<attack::AttackerKind> attackers;
+};
+
+/**
+ * Runs every job in @p jobs as one stage graph on the global pool and
+ * returns, per job in job order, exactly what runFingerprintingShared()
+ * would return for it — results, stage tables and cache provenance are
+ * bit-identical to the sequential calls because every seed and
+ * fingerprint is fixed when the job is declared. When jobs fail, the
+ * Status is that of the first failing job in job order (and, within
+ * it, of its first failing stage in declaration order); the other jobs
+ * still drain.
+ */
+[[nodiscard]] Result<std::vector<std::vector<FingerprintResult>>>
+runFingerprintingBatch(std::span<const FingerprintJob> jobs,
+                       const PipelineConfig &pipeline);
 
 /** Converts a TraceSet into an ml::Dataset of fixed-length features. */
 ml::Dataset toDataset(const attack::TraceSet &traces,

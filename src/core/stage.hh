@@ -31,12 +31,14 @@
  *     code never touches a stopwatch (enforced by the bigfish-lint
  *     stage-timing rule).
  *
- * Concurrency: declare the whole graph up front on one thread, then
- * run stages from any thread — each stage id owns a distinct,
- * pre-reserved report slot, so independent stages (per-fold
- * train/score) execute concurrently on the thread pool without
- * synchronizing, and results stay bit-identical at any thread count
- * because fingerprints, seeds and aggregation order are all fixed at
+ * Execution: declare the whole graph up front on one thread, attach
+ * work items to stages with submit(), then execute(): one priority
+ * ready-queue executor (base/thread_pool.hh) runs each stage's items
+ * once every upstream stage is done, on exactly the pool's thread
+ * count, with no barriers between stages. A stage whose upstream failed
+ * never runs. Each stage id owns a distinct, pre-reserved report slot,
+ * and results stay bit-identical at any thread count because
+ * fingerprints, seeds and aggregation order are all fixed at
  * declaration time.
  */
 
@@ -44,7 +46,9 @@
 #define BF_CORE_STAGE_HH
 
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -53,6 +57,7 @@
 
 #include "base/result.hh"
 #include "base/stopwatch.hh" // bigfish-lint: allow(stage-timing)
+#include "base/thread_pool.hh"
 #include "core/stage_cache.hh"
 #include "sim/perf.hh"
 
@@ -92,12 +97,21 @@ struct StageReport
     std::uint64_t fingerprint = 0;
     /** Defaults to Skipped so never-run stages report honestly. */
     StageCacheState cache = StageCacheState::Skipped;
-    /** CPU seconds of this stage's execution (thread-CPU for pool
-     *  stages, process-CPU for main-thread stages). */
+    /** CPU seconds of this stage's execution: the sum of the
+     *  thread-CPU of every task that ran it. */
     double cpuSeconds = 0.0;
-    /** Wall seconds; per-fold stages overlap, so wall sums across
-     *  stages can exceed the run's true wall clock. */
+    /** Elapsed seconds from the stage's first task starting to its last
+     *  task ending (endSeconds - startSeconds). Stages overlap, so wall
+     *  sums across stages can exceed the run's true wall clock; the
+     *  artifact's phase rollups are interval unions instead. */
     double wallSeconds = 0.0;
+    /** Offsets on the run clock (stageClockSeconds()) of the stage's
+     *  first task start and last task end. */
+    double startSeconds = 0.0;
+    double endSeconds = 0.0;
+    /** currentWorkerIndex() of the thread that started the stage; -1
+     *  while it has never run. */
+    int worker = -1;
     /** Units produced (traces collected, samples featurized, ...). */
     std::size_t items = 0;
     /** Units lost (dropped traces). */
@@ -107,6 +121,13 @@ struct StageReport
      *  cpuSeconds measures work performed rather than represented. */
     sim::PerfCounters sim;
 };
+
+/**
+ * The run clock: monotonic seconds since the first call in this
+ * process. Stage start/end offsets are on this clock, so reports from
+ * separate graphs share one timeline.
+ */
+double stageClockSeconds();
 
 /**
  * The fingerprint composition rule: hash the stage's identity and
@@ -171,27 +192,24 @@ class StageGraph
      */
     template <typename Out>
     std::optional<Out>
-    fromCache(std::size_t id, const StageCodec<Out> &codec,
-              bool threadCpu = false)
+    fromCache(std::size_t id, const StageCodec<Out> &codec)
     {
         if (cache_ == nullptr)
             return std::nullopt;
-        StageReport &report = reports_[id];
-        Stopwatch wall; // bigfish-lint: allow(stage-timing)
-        const double cpu_start = cpuSeconds(threadCpu);
+        const double start = stageClockSeconds();
+        const double cpu_start = threadCpuSeconds();
         std::optional<std::string> payload =
-            cache_->lookup(codec.kind, report.fingerprint);
+            cache_->lookup(codec.kind, reports_[id].fingerprint);
         if (payload) {
             std::optional<Out> out = codec.decode(*payload);
             if (out) {
-                report.cache = StageCacheState::Hit;
-                report.cpuSeconds = cpuSeconds(threadCpu) - cpu_start;
-                report.wallSeconds = wall.seconds();
+                reports_[id].cache = StageCacheState::Hit;
+                charge(id, start, cpu_start);
                 return out;
             }
             // CRC-intact but semantically undecodable (stale format):
             // dead weight either way.
-            cache_->remove(codec.kind, report.fingerprint);
+            cache_->remove(codec.kind, reports_[id].fingerprint);
         }
         return std::nullopt;
     }
@@ -199,28 +217,27 @@ class StageGraph
     /**
      * Executes stage @p id: probes the cache (when @p codec is
      * non-null and @p probe — pass probe=false after an explicit
-     * fromCache() miss), else runs @p body, records timing and cache
-     * provenance, and commits the output when cacheable. @p threadCpu
-     * selects the thread-CPU clock for stages running on pool workers.
-     * Errors from @p body propagate with the report still recording
-     * the attempt's cost. Safe from pool threads.
+     * fromCache() miss), else runs @p body, charges its thread-CPU and
+     * interval to the stage, records cache provenance, and commits the
+     * output when cacheable. Errors from @p body propagate with the
+     * report still recording the attempt's cost. Safe from pool
+     * threads.
      */
     template <typename Out, typename Body>
     [[nodiscard]] Result<Out>
     run(std::size_t id, const StageCodec<Out> *codec, Body &&body,
-        bool probe = true, bool threadCpu = false)
+        bool probe = true)
     {
         if (codec != nullptr && probe) {
-            std::optional<Out> cached = fromCache(id, *codec, threadCpu);
+            std::optional<Out> cached = fromCache(id, *codec);
             if (cached)
                 return Result<Out>(std::move(*cached));
         }
         StageReport &report = reports_[id];
-        Stopwatch wall; // bigfish-lint: allow(stage-timing)
-        const double cpu_start = cpuSeconds(threadCpu);
+        const double start = stageClockSeconds();
+        const double cpu_start = threadCpuSeconds();
         Result<Out> out = body();
-        report.cpuSeconds = cpuSeconds(threadCpu) - cpu_start;
-        report.wallSeconds = wall.seconds();
+        charge(id, start, cpu_start);
         if (codec == nullptr) {
             report.cache = StageCacheState::Uncached;
             return out;
@@ -247,6 +264,63 @@ class StageGraph
         return out;
     }
 
+    /**
+     * Runs @p body as one more piece of stage @p id's work: its
+     * thread-CPU adds to the stage's cpuSeconds and its interval widens
+     * the stage's [start, end]. For codec-less stages whose work is
+     * several tasks (collection chunks), which report Uncached; several
+     * tasks may charge one stage concurrently. Safe from pool threads.
+     */
+    template <typename Body>
+    [[nodiscard]] Status
+    charged(std::size_t id, Body &&body)
+    {
+        const double start = stageClockSeconds();
+        const double cpu_start = threadCpuSeconds();
+        Status status = body();
+        charge(id, start, cpu_start, StageCacheState::Uncached);
+        return status;
+    }
+
+    /** Stage work: returns the stage's failure, if any. */
+    using Work = std::function<Status()>;
+
+    /**
+     * Attaches one work item to stage @p id. Before execute(), items
+     * wait until every upstream stage is done; from inside a running
+     * item of stage @p id (e.g. fanning collection out into chunks)
+     * they are queued at once. The stage is done when all its items
+     * have finished; a stage with no items is done as soon as its
+     * upstreams are. Higher @p priority runs first; a @p pinned item
+     * runs only on the thread that called execute(). Safe from pool
+     * threads.
+     */
+    void submit(std::size_t id, std::int64_t priority, Work work,
+                bool pinned = false);
+
+    /**
+     * Execution-only ordering: stage @p then does not become ready
+     * before stage @p first is done, though neither's fingerprint
+     * changes and a failure of @p first does not cancel @p then.
+     * Before execute() only.
+     */
+    void after(std::size_t first, std::size_t then);
+
+    /**
+     * Runs every submitted item on @p pool, each stage once its
+     * upstreams are done, and returns when the whole graph has drained.
+     * A failed stage (an item returning a non-OK Status) cancels its
+     * downstream stages, which then never run; unrelated stages run to
+     * completion. An exception thrown by an item fails its stage the
+     * same way and is rethrown here after the graph drains. Call once,
+     * from the declaring thread.
+     */
+    void execute(ThreadPool &pool = globalPool());
+
+    /** The first failure recorded for stage @p id (OK when it ran
+     *  cleanly, was cancelled or never had work). */
+    const Status &status(std::size_t id) const { return nodes_[id].status; }
+
     /** Records item/drop accounting for stage @p id. */
     void
     setCounts(std::size_t id, std::size_t items, std::size_t dropped)
@@ -267,18 +341,61 @@ class StageGraph
     StageCache *cache() const { return cache_; }
 
   private:
-    /** Now() on the stage's CPU clock: thread-CPU for pool workers
-     *  (wall overlaps siblings), process-CPU for main-thread stages. */
+    /** Execution state of one stage; guarded by execMutex_. */
+    struct Node
+    {
+        std::vector<std::size_t> downstream;
+        /** Stages ordered after this one by after(). */
+        std::vector<std::size_t> followers;
+        /** Upstream (and after()-ordered) stages not yet done. */
+        std::size_t upstreamLeft = 0;
+        /** Items queued on the pool and not yet finished. */
+        std::size_t outstanding = 0;
+        /** Items submitted before the stage became ready. */
+        struct Item
+        {
+            std::int64_t priority;
+            Work work;
+            bool pinned;
+        };
+        std::vector<Item> waiting;
+        bool ready = false;
+        bool done = false;
+        /** An upstream failed: the stage's items never run. */
+        bool cancelled = false;
+        Status status;
+    };
+
+    /** The calling thread's CPU clock. */
     static double
-    cpuSeconds(bool threadCpu)
+    threadCpuSeconds()
     {
         // bigfish-lint: allow(stage-timing)
-        return detail::posixClockSeconds(threadCpu ? CLOCK_THREAD_CPUTIME_ID
-                                                   : CLOCK_PROCESS_CPUTIME_ID);
+        return detail::posixClockSeconds(CLOCK_THREAD_CPUTIME_ID);
     }
+
+    /** Adds [start, now] and the thread-CPU since @p cpu_start to
+     *  stage @p id's report, and records @p state when given. */
+    void charge(std::size_t id, double start, double cpu_start,
+                std::optional<StageCacheState> state = std::nullopt);
+
+    /** Queues @p work for stage @p id on the executing pool. */
+    void enqueueLocked(std::size_t id, std::int64_t priority, Work work,
+                       bool pinned);
+    /** Records one finished item of stage @p id (its Status, and the
+     *  exception it threw, if any); the last one completes the stage. */
+    void finishItem(std::size_t id, Status status, std::exception_ptr error);
+    void readyLocked(std::size_t id);
+    void completeLocked(std::size_t id);
 
     StageCache *cache_;
     std::vector<StageReport> reports_;
+    std::vector<Node> nodes_;
+    std::mutex chargeMutex_;
+    std::mutex execMutex_;
+    /** The executing group while execute() runs, else null. */
+    TaskGroup *group_ = nullptr;
+    std::exception_ptr error_;
 };
 
 } // namespace bigfish::core

@@ -4,7 +4,6 @@
 #include <span>
 
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 #include "ml/kernels.hh"
 
 namespace bigfish::ml {
@@ -92,48 +91,18 @@ Matrix::sum() const
 namespace {
 
 /**
- * Kernel tuning constants. KC blocks the inner (k) dimension so the
- * active B panel stays cache-resident across output rows; the parallel
- * threshold keeps small layers on the calling thread where fan-out
- * overhead would dominate.
+ * Kernel tuning constant: KC blocks the inner (k) dimension so the
+ * active B panel stays cache-resident across output rows.
  */
 constexpr std::size_t kBlockK = 240;
-constexpr double kParallelMinFlops = 1 << 19;
 
 // All floating-point arithmetic below delegates to the runtime-
-// dispatched SIMD kernel layer; this file keeps only the blocking,
-// chunking and threading structure. kernels::dot's fixed 8-lane
-// accumulation makes every reduction independent of both the dispatch
-// ISA and the thread count.
-
-/**
- * Splits [0, rows) into contiguous row ranges run on the global pool
- * when the kernel is large enough to amortize fan-out. Each output row
- * is produced entirely by one range, so the arithmetic per row — and
- * therefore the result — is independent of the chunking. Templated on
- * the callable so the serial path (every small training-step GEMM)
- * inlines the kernel body instead of calling through std::function.
- */
-template <typename Fn>
-void
-forRowChunks(std::size_t rows, double flops, Fn &&fn)
-{
-    if (rows < 2 || flops < kParallelMinFlops) {
-        fn(0, rows);
-        return;
-    }
-    ThreadPool &pool = globalPool();
-    const std::size_t threads =
-        static_cast<std::size_t>(pool.threadCount());
-    if (threads <= 1) {
-        fn(0, rows);
-        return;
-    }
-    const std::size_t chunks = std::min(rows, threads * 2);
-    pool.parallelFor(chunks, [&](std::size_t c) {
-        fn(rows * c / chunks, rows * (c + 1) / chunks);
-    });
-}
+// dispatched SIMD kernel layer; this file keeps only the blocking
+// structure. kernels::dot's fixed 8-lane accumulation makes every
+// reduction independent of the dispatch ISA. Kernels run on the
+// calling thread: parallelism lives one level up, in whole fold and
+// collection tasks (core/stage.hh), so a GEMM never fans out onto a
+// pool that is already busy with sibling tasks.
 
 /**
  * C[r0:r1) += A * B for row-major operands, k-blocked i-k-j order with
@@ -170,7 +139,7 @@ gemmAccRows(float *__restrict c, const float *__restrict a,
  * extents allow (kernels::dotTile4x2 accumulates every C element
  * exactly like kernels::dot of the same operand rows, so the tile/dot
  * split below is a pure bandwidth optimization with no numeric
- * effect — at any chunk boundary, thread count, or ISA).
+ * effect — at any row boundary, thread count, or ISA).
  *
  * k == 1 is the rank-1 outer-product case (dW += dOut * x^T with a
  * single column, the shape every backward pass hits for the conv2 /
@@ -231,9 +200,8 @@ gemmTransAAccRows(float *__restrict c, const float *__restrict a,
 
 /**
  * c += A^T * b for a single column b: accumulates b[r] * row r of A
- * into c, so every access is contiguous. Always runs serially (all
- * rows write the same output vector), which also keeps the summation
- * order — and therefore the bits — identical at every thread count.
+ * into c, so every access is contiguous; the summation order — and
+ * therefore the bits — is the same at every thread count.
  */
 void
 gemmTransAVec(float *__restrict c, const float *__restrict a,
@@ -242,13 +210,6 @@ gemmTransAVec(float *__restrict c, const float *__restrict a,
 {
     for (std::size_t r = 0; r < a_rows; ++r)
         kernels::axpy(c, a + r * a_cols, b[r], a_cols);
-}
-
-double
-gemmFlops(std::size_t m, std::size_t k, std::size_t n)
-{
-    return 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-           static_cast<double>(n);
 }
 
 } // namespace
@@ -260,11 +221,8 @@ matmul(const Matrix &a, const Matrix &b)
     if (b.cols() == 1)
         return gemv(a, b);
     Matrix c(a.rows(), b.cols());
-    forRowChunks(a.rows(), gemmFlops(a.rows(), a.cols(), b.cols()),
-                 [&](std::size_t r0, std::size_t r1) {
-                     gemmAccRows(c.data(), a.data(), b.data(), r0, r1,
-                                 a.cols(), b.cols(), nullptr);
-                 });
+    gemmAccRows(c.data(), a.data(), b.data(), 0, a.rows(), a.cols(),
+                b.cols(), nullptr);
     return c;
 }
 
@@ -277,11 +235,8 @@ matmulBias(const Matrix &a, const Matrix &b, const Matrix &bias)
     if (b.cols() == 1)
         return gemvBias(a, b, bias);
     Matrix c(a.rows(), b.cols());
-    forRowChunks(a.rows(), gemmFlops(a.rows(), a.cols(), b.cols()),
-                 [&](std::size_t r0, std::size_t r1) {
-                     gemmAccRows(c.data(), a.data(), b.data(), r0, r1,
-                                 a.cols(), b.cols(), bias.data());
-                 });
+    gemmAccRows(c.data(), a.data(), b.data(), 0, a.rows(), a.cols(),
+                b.cols(), bias.data());
     return c;
 }
 
@@ -309,11 +264,8 @@ accumulateMatmul(Matrix &c, const Matrix &a, const Matrix &b)
     panicIf(a.cols() != b.rows(), "accumulateMatmul dimension mismatch");
     panicIf(c.rows() != a.rows() || c.cols() != b.cols(),
             "accumulateMatmul output shape mismatch");
-    forRowChunks(a.rows(), gemmFlops(a.rows(), a.cols(), b.cols()),
-                 [&](std::size_t r0, std::size_t r1) {
-                     gemmAccRows(c.data(), a.data(), b.data(), r0, r1,
-                                 a.cols(), b.cols(), nullptr);
-                 });
+    gemmAccRows(c.data(), a.data(), b.data(), 0, a.rows(), a.cols(),
+                b.cols(), nullptr);
 }
 
 void
@@ -327,11 +279,8 @@ accumulateMatmulTransA(Matrix &c, const Matrix &a, const Matrix &b)
         gemmTransAVec(c.data(), a.data(), b.data(), a.rows(), a.cols());
         return;
     }
-    forRowChunks(a.cols(), gemmFlops(a.cols(), a.rows(), b.cols()),
-                 [&](std::size_t r0, std::size_t r1) {
-                     gemmTransAAccRows(c.data(), a.data(), b.data(), r0,
-                                       r1, a.rows(), a.cols(), b.cols());
-                 });
+    gemmTransAAccRows(c.data(), a.data(), b.data(), 0, a.cols(), a.rows(),
+                      a.cols(), b.cols());
 }
 
 void
@@ -346,8 +295,6 @@ accumulateMatmulTransB(Matrix &c, const Matrix &a, const Matrix &b)
     if (k > 1 && k <= 32 && n >= 16) {
         // Short-k dots waste their accumulator setup; materialize B^T
         // (small: n*k floats) once and run the wide-row kernel instead.
-        // The transpose happens before any fan-out, so parallel row
-        // chunks only ever read it.
         static thread_local std::vector<float> scratch;
         scratch.resize(k * n);
         const float *__restrict bd = b.data();
@@ -355,18 +302,11 @@ accumulateMatmulTransB(Matrix &c, const Matrix &a, const Matrix &b)
         for (std::size_t j = 0; j < n; ++j)
             for (std::size_t kk = 0; kk < k; ++kk)
                 bt[kk * n + j] = bd[j * k + kk];
-        forRowChunks(a.rows(), gemmFlops(a.rows(), k, n),
-                     [&](std::size_t r0, std::size_t r1) {
-                         gemmAccRows(c.data(), a.data(), scratch.data(),
-                                     r0, r1, k, n, nullptr);
-                     });
+        gemmAccRows(c.data(), a.data(), scratch.data(), 0, a.rows(), k, n,
+                    nullptr);
         return;
     }
-    forRowChunks(a.rows(), gemmFlops(a.rows(), k, n),
-                 [&](std::size_t r0, std::size_t r1) {
-                     gemmTransBAccRows(c.data(), a.data(), b.data(), r0,
-                                       r1, k, n);
-                 });
+    gemmTransBAccRows(c.data(), a.data(), b.data(), 0, a.rows(), k, n);
 }
 
 Matrix
@@ -379,11 +319,8 @@ gemv(const Matrix &a, const Matrix &x)
     const float *__restrict xd = x.data();
     float *__restrict yd = y.data();
     const std::size_t k = a.cols();
-    forRowChunks(a.rows(), gemmFlops(a.rows(), k, 1),
-                 [&](std::size_t r0, std::size_t r1) {
-                     for (std::size_t i = r0; i < r1; ++i)
-                         yd[i] = kernels::dot(ad + i * k, xd, k);
-                 });
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        yd[i] = kernels::dot(ad + i * k, xd, k);
     return y;
 }
 
@@ -400,11 +337,8 @@ gemvBias(const Matrix &a, const Matrix &x, const Matrix &b)
     const float *__restrict bd = b.data();
     float *__restrict yd = y.data();
     const std::size_t k = a.cols();
-    forRowChunks(a.rows(), gemmFlops(a.rows(), k, 1),
-                 [&](std::size_t r0, std::size_t r1) {
-                     for (std::size_t i = r0; i < r1; ++i)
-                         yd[i] = bd[i] + kernels::dot(ad + i * k, xd, k);
-                 });
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        yd[i] = bd[i] + kernels::dot(ad + i * k, xd, k);
     return y;
 }
 

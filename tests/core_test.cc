@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/artifact.hh"
 #include "core/collector.hh"
 #include "core/pipeline.hh"
 #include "core/presets.hh"
@@ -328,6 +329,66 @@ TEST(Pipeline, OpenWorldProducesMetrics)
     ASSERT_TRUE(result.hasOpenWorld);
     EXPECT_GT(result.openWorld.openWorld.combinedAccuracy, 0.5);
     EXPECT_GT(result.openWorld.openWorld.sensitiveAccuracy, 0.0);
+}
+
+StageReport
+timedStage(const char *phase, double start, double end, double cpu)
+{
+    StageReport report;
+    report.name = phase;
+    report.phase = phase;
+    report.startSeconds = start;
+    report.endSeconds = end;
+    report.wallSeconds = end - start;
+    report.cpuSeconds = cpu;
+    report.worker = 1;
+    return report;
+}
+
+TEST(RunArtifact, PhaseWallsAreIntervalUnionsNotSums)
+{
+    RunArtifact artifact("unit", spec::RunSpec{});
+    FingerprintResult result;
+    // Overlapping train folds [1, 3] and [2, 4], a later one [6, 7], and
+    // a never-run stage: the union is 4 s, the plain sum would be 5 s.
+    StageReport skipped;
+    skipped.name = "skipped";
+    skipped.phase = "train";
+    result.stages = {timedStage("train", 1.0, 3.0, 1.5),
+                     timedStage("train", 2.0, 4.0, 1.5),
+                     timedStage("train", 6.0, 7.0, 1.0), skipped};
+    artifact.addResult("a", result);
+    EXPECT_NEAR(artifact.trainWallSeconds(), 4.0, 1e-9);
+    EXPECT_NEAR(artifact.trainCpuSeconds(), 4.0, 1e-9);
+    // Time measured outside any stage adds to the union.
+    artifact.addPhaseSeconds("train", 0.5, 0.25);
+    EXPECT_NEAR(artifact.trainWallSeconds(), 4.25, 1e-9);
+    EXPECT_NEAR(artifact.trainCpuSeconds(), 4.5, 1e-9);
+    EXPECT_EQ(artifact.evalWallSeconds(), 0.0);
+    // Stage offsets are rebased onto the artifact's own start; a stage
+    // that never ran keeps no timeline.
+    EXPECT_LE(artifact.stages()[0].startSeconds, 1.0);
+    EXPECT_NEAR(artifact.stages()[1].startSeconds -
+                    artifact.stages()[0].startSeconds,
+                1.0, 1e-9);
+    EXPECT_EQ(artifact.stages()[3].worker, -1);
+    EXPECT_EQ(artifact.stages()[3].startSeconds, 0.0);
+}
+
+TEST(RunArtifact, UtilizationIsCpuOverWallTimesThreads)
+{
+    RunArtifact artifact("unit", spec::RunSpec{});
+    EXPECT_EQ(artifact.utilization(), 0.0);
+    artifact.setThreads(4);
+    artifact.setWallSeconds(2.0);
+    artifact.setCpuSeconds(6.0);
+    EXPECT_DOUBLE_EQ(artifact.utilization(), 0.75);
+    const std::string json = artifact.toJson();
+    EXPECT_NE(json.find("\"wallSeconds\": 2.000, \"cpuSeconds\": 6.000, "
+                        "\"utilization\": 0.750,"),
+              std::string::npos);
+    EXPECT_NE(artifact.explainText().find("utilization 0.750"),
+              std::string::npos);
 }
 
 } // namespace

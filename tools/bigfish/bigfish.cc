@@ -39,6 +39,9 @@
 #include <vector>
 
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "base/atomic_file.hh"
 #include "base/stopwatch.hh"
@@ -466,10 +469,12 @@ cmdRun(const core::ExperimentRegistry &registry,
 
         core::printExperimentBanner(ctx);
         Stopwatch wall;
+        ProcessCpuStopwatch cpu;
         auto artifact = p.descriptor->run(ctx);
         if (!artifact.isOk())
             return artifact.status();
         artifact.value().setWallSeconds(wall.seconds());
+        artifact.value().setCpuSeconds(cpu.seconds());
         if (options.explain) {
             std::printf("\nstage graph (fingerprints + cache "
                         "provenance):\n%s",
@@ -535,6 +540,17 @@ cmdRun(const core::ExperimentRegistry &registry,
 int
 main(int argc, char **argv)
 {
+#if defined(__GLIBC__)
+    // A batch run frees and re-allocates same-shaped buffers job after
+    // job (raw traces, datasets, cache payloads). Fixed thresholds keep
+    // freed heap below 16 MiB of free top for reuse instead of
+    // returning it to the kernel and faulting it back in, while blocks
+    // of 4 MiB and more stay mmapped and go back to the kernel when
+    // freed (glibc's default threshold instead drifts up to 32 MiB and
+    // strands large freed blocks in the heap, raising peak RSS).
+    mallopt(M_MMAP_THRESHOLD, 4 << 20);
+    mallopt(M_TRIM_THRESHOLD, 16 << 20);
+#endif
     std::signal(SIGINT, handleInterrupt);
     std::signal(SIGTERM, handleInterrupt);
 

@@ -6,18 +6,48 @@ namespace bigfish::lint {
 
 namespace {
 
-/** One inline lambda inside a parallelFor/parallelMap call. */
+/** One inline lambda passed to a parallel-region entry point. */
 struct ParallelBody
 {
     std::size_t begin; ///< Token index just past the body `{`.
     std::size_t end;   ///< Token index of the matching `}`.
-    std::set<std::string> params; ///< Lambda parameter names.
+    /** Per-iteration names: lambda parameters plus by-value captures
+     *  (a submitted task's own copy of its index, like a parameter). */
+    std::set<std::string> params;
 };
 
 /**
- * Finds every inline lambda inside the argument list of a
- * parallelFor/parallelMap call. A `[` in argument position (preceded by
- * `(` or `,`) opens a capture list; the following `(...)` supplies the
+ * By-value capture names of the capture list [@p open, @p close]:
+ * `[i, &out, n = size()]` yields {i, n}. `&` captures, `this` and the
+ * `=` / `&` defaults add nothing.
+ */
+void
+collectValueCaptures(const std::vector<Token> &toks, std::size_t open,
+                     std::size_t close, std::set<std::string> &out)
+{
+    bool segment_start = true;
+    int depth = 0;
+    for (std::size_t p = open + 1; p < close; ++p) {
+        const std::string &t = toks[p].text;
+        if (t == "(" || t == "[" || t == "{")
+            ++depth;
+        else if (t == ")" || t == "]" || t == "}")
+            --depth;
+        if (depth == 0 && t == ",") {
+            segment_start = true;
+            continue;
+        }
+        if (segment_start && depth == 0 &&
+            toks[p].kind == TokenKind::Identifier && !isLintKeyword(t))
+            out.insert(t);
+        segment_start = false;
+    }
+}
+
+/**
+ * Finds every inline lambda inside the argument list of a parallel
+ * entry point (isParallelEntry). A `[` in argument position (preceded
+ * by `(` or `,`) opens a capture list; an optional `(...)` supplies the
  * parameter names and the `{...}` is the body.
  */
 std::vector<ParallelBody>
@@ -25,8 +55,7 @@ collectParallelBodies(const std::vector<Token> &toks)
 {
     std::vector<ParallelBody> bodies;
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        if ((toks[i].text != "parallelFor" && toks[i].text != "parallelMap") ||
-            toks[i + 1].text != "(")
+        if (!isParallelEntry(toks, i))
             continue;
         const std::size_t close = matchParen(toks, i + 1);
         if (close == kTokNpos)
@@ -45,29 +74,37 @@ collectParallelBodies(const std::vector<Token> &toks)
                     break;
                 ++j;
             }
-            if (j >= close || j + 1 >= close || toks[j + 1].text != "(")
-                continue;
-            const std::size_t params_close = matchParen(toks, j + 1);
-            if (params_close == kTokNpos || params_close + 1 >= close)
+            if (j >= close || j + 1 >= close)
                 continue;
             ParallelBody body;
-            // Parameter names: the identifier directly before each `,`
-            // or the closing `)` at depth 1.
-            int pdepth = 0;
-            for (std::size_t p = j + 1; p <= params_close; ++p) {
-                if (toks[p].text == "(" || toks[p].text == "<")
-                    ++pdepth;
-                else if (toks[p].text == ")" || toks[p].text == ">")
-                    --pdepth;
-                const bool separator =
-                    (toks[p].text == "," && pdepth == 1) ||
-                    (p == params_close && pdepth == 0);
-                if (separator && p > 0 &&
-                    toks[p - 1].kind == TokenKind::Identifier &&
-                    !isLintKeyword(toks[p - 1].text))
-                    body.params.insert(toks[p - 1].text);
+            collectValueCaptures(toks, k, j, body.params);
+            std::size_t open = j + 1;
+            if (toks[j + 1].text == "(") {
+                const std::size_t params_close = matchParen(toks, j + 1);
+                if (params_close == kTokNpos || params_close + 1 >= close)
+                    continue;
+                // Parameter names: the identifier directly before each
+                // `,` or the closing `)` at depth 1.
+                int pdepth = 0;
+                for (std::size_t p = j + 1; p <= params_close; ++p) {
+                    if (toks[p].text == "(" || toks[p].text == "<")
+                        ++pdepth;
+                    else if (toks[p].text == ")" || toks[p].text == ">")
+                        --pdepth;
+                    const bool separator =
+                        (toks[p].text == "," && pdepth == 1) ||
+                        (p == params_close && pdepth == 0);
+                    if (separator && p > 0 &&
+                        toks[p - 1].kind == TokenKind::Identifier &&
+                        !isLintKeyword(toks[p - 1].text))
+                        body.params.insert(toks[p - 1].text);
+                }
+                open = params_close + 1;
+            } else if (toks[j + 1].text != "{" &&
+                       toks[j + 1].text != "mutable" &&
+                       toks[j + 1].text != "->") {
+                continue; // an array subscript, not a lambda
             }
-            std::size_t open = params_close + 1;
             while (open < close && toks[open].text != "{")
                 ++open; // skips mutable / noexcept / -> ret
             if (open >= close)
@@ -101,10 +138,10 @@ collectBodyLocals(const std::vector<Token> &toks, const ParallelBody &body)
         const Token &name = toks[m + 1];
         if (name.kind != TokenKind::Identifier || isLintKeyword(name.text))
             continue;
-        if (m >= 1 &&
-            (toks[m - 1].text == "." || toks[m - 1].text == "->" ||
-             toks[m - 1].text == "::"))
-            continue; // member access chain, not a declaration
+        // `a.b c` / `p->b c` is a member access chain, not a
+        // declaration; `std::size_t i` (a qualified type) is one.
+        if (m >= 1 && (toks[m - 1].text == "." || toks[m - 1].text == "->"))
+            continue;
         const bool typeish = looksLikeTypeName(type.text) ||
                              type.text == "&" || type.text == "*";
         const bool ident_type =
@@ -178,8 +215,8 @@ ruleCaptureRace(const std::string &relPath, const LexedFile &file,
                         (k >= 2 && toks[k - 2].kind ==
                                        TokenKind::Identifier &&
                          !isLintKeyword(before)) ||
-                        before == ">" || before == "&" || before == "*" ||
-                        before == "]";
+                        before == ">" || before == ">>" || before == "&" ||
+                        before == "*" || before == "]";
                     if (!member && !declaration &&
                         locals.count(lhs.text) == 0 &&
                         body.params.count(lhs.text) == 0) {
@@ -188,8 +225,9 @@ ruleCaptureRace(const std::string &relPath, const LexedFile &file,
                             "parallel-capture-race",
                             "'" + lhs.text + " = ...' writes a captured "
                             "variable inside a parallelFor/parallelMap "
-                            "body: a data race across iterations; write "
-                            "into a per-index slot instead");
+                            "body or submitted task: a data race across "
+                            "iterations; write into a per-index slot "
+                            "instead");
                     }
                 }
                 // Indexed write: `target[subscript] = ...` must derive
@@ -284,8 +322,9 @@ ruleCaptureRace(const std::string &relPath, const LexedFile &file,
                             "parallel-capture-race",
                             "'" + operand->text + "' is incremented/"
                             "decremented inside a parallelFor/parallelMap "
-                            "body: a data race across iterations; count "
-                            "into per-index slots and reduce serially");
+                            "body or submitted task: a data race across "
+                            "iterations; count into per-index slots and "
+                            "reduce serially");
                     }
                 }
             }
@@ -315,8 +354,9 @@ ruleParallelMutex(const std::string &relPath, const LexedFile &file,
                 emitDiagnostic(
                     out, file, relPath, toks[k].line, "parallel-mutex",
                     "mutex acquisition ('" + toks[k].text + "') inside a "
-                    "parallelFor/parallelMap body serializes the hot "
-                    "loop and makes completion order observable; "
+                    "parallelFor/parallelMap body or submitted task "
+                    "serializes the hot loop and makes completion order "
+                    "observable; "
                     "precompute shared state outside or write per-index "
                     "slots");
             }

@@ -54,7 +54,7 @@ ruleSummaries()
          "stable_partition) in hot paths; use the arena merge."},
         {"parallel-float-accum",
          "No compound accumulation onto captured variables in parallel "
-         "bodies."},
+         "bodies or submitted tasks."},
         {"intrinsics-header",
          "ISA intrinsics headers are confined to base/simd.hh."},
         {"layering",
@@ -69,13 +69,14 @@ ruleSummaries()
          "...OrDie() calls are confined to binary-boundary "
          "directories."},
         {"parallel-mutex",
-         "No lock acquisition inside parallelFor/parallelMap bodies."},
+         "No lock acquisition inside parallelFor/parallelMap bodies or "
+         "submitted tasks."},
         {"parallel-capture-race",
          "No writes to captured state without index-derived addressing "
-         "in parallel bodies."},
+         "in parallel bodies or submitted tasks."},
         {"parallel-shared-rng",
-         "No RNG shared across parallel iterations; derive per-cell "
-         "streams."},
+         "No RNG shared across parallel iterations or tasks; derive "
+         "per-cell streams."},
         {"stage-timing",
          "Phase timing flows through StageGraph::run(); no ad-hoc "
          "stopwatches."},

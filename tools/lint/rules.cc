@@ -85,6 +85,18 @@ looksLikeTypeName(const std::string &t)
     return t == ">"; // closing a templated type: std::vector<double> v
 }
 
+bool
+isParallelEntry(const std::vector<Token> &toks, std::size_t i)
+{
+    if (i + 1 >= toks.size() || toks[i + 1].text != "(")
+        return false;
+    const std::string &name = toks[i].text;
+    if (name == "parallelFor" || name == "parallelMap")
+        return true;
+    return name == "submit" && i > 0 &&
+           (toks[i - 1].text == "." || toks[i - 1].text == "->");
+}
+
 namespace {
 
 constexpr std::size_t kNpos = kTokNpos;
@@ -424,8 +436,7 @@ ruleParallelFloatAccum(const std::string &relPath, const LexedFile &file,
     static const std::set<std::string> kCompound = {"+=", "-=", "*=", "/="};
     const auto &toks = file.tokens;
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        if ((toks[i].text != "parallelFor" && toks[i].text != "parallelMap") ||
-            toks[i + 1].text != "(")
+        if (!isParallelEntry(toks, i))
             continue;
         const std::size_t close = matchParen(toks, i + 1);
         if (close == kNpos)
@@ -451,9 +462,10 @@ ruleParallelFloatAccum(const std::string &relPath, const LexedFile &file,
             if (!local) {
                 emit(out, file, relPath, lhs.line, "parallel-float-accum",
                      "'" + lhs.text + " " + toks[k].text + " ...' inside "
-                     "a parallelFor/parallelMap body accumulates onto a "
-                     "captured variable: write per-index results into "
-                     "pre-sized slots and reduce serially afterwards");
+                     "a parallelFor/parallelMap body or submitted task "
+                     "accumulates onto a captured variable: write "
+                     "per-index results into pre-sized slots and reduce "
+                     "serially afterwards");
             }
         }
     }

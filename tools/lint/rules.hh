@@ -91,6 +91,14 @@ bool isLintKeyword(const std::string &s);
 bool looksLikeTypeName(const std::string &t);
 
 /**
+ * True when toks[@p i] names a parallel-region entry point whose lambda
+ * arguments run concurrently: parallelFor / parallelMap, or the task
+ * executor's submission call in member form (`group.submit(...)`,
+ * `graph->submit(...)`; TaskGroup and StageGraph in the tree).
+ */
+bool isParallelEntry(const std::vector<Token> &toks, std::size_t i);
+
+/**
  * Pass 1 of the discarded-status rule: harvests the names of functions
  * declared (or defined) with a Status / Result<...> return type from
  * one file's tokens. The union over all scanned files is the call-site

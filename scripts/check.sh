@@ -17,10 +17,13 @@
 #   cli-smoke — `bigfish run --all --smoke`: every registered experiment
 #               end-to-end at tiny scale, plus CLI exit-code/usage
 #               checks (strict env validation, unknown-flag rejection).
-#   resume-smoke — kill -9 a checkpointed run mid-collection, `--resume`
-#               it and require a bit-identical artifact; then force an
-#               IO-crash under `--isolate --keep-going` and require
-#               exit 1 with a complete suite manifest (crashed + ok).
+#   resume-smoke — kill -9 a `--cache-dir` run once a collection chunk
+#               entry exists, rerun it on the same cache (it must say
+#               how many chunks it replayed) and require an artifact
+#               bit-identical to an uncached run; then force an IO
+#               crash (`--io-crash-after=1`) under `--isolate
+#               --keep-going` and require exit 1 with a complete suite
+#               manifest (crashed + ok).
 #   simd      — the DESIGN.md §10 determinism gate: the kernel test
 #               binary under BF_SIMD=scalar, sse2 and avx2; three
 #               table1 smokes (one per BF_SIMD) whose artifacts must be
@@ -220,20 +223,21 @@ for stage in "${stages[@]}"; do
         cmake --build "$builddir" --target bigfish -j "$jobs"
         rdir="$(mktemp -d)"
         tmpdirs+=("$rdir")
-        echo "== [resume-smoke] reference run (no checkpointing)"
+        echo "== [resume-smoke] reference run (no cache)"
         "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
             --json="$rdir/ref.json" > /dev/null
-        echo "== [resume-smoke] kill -9 mid-collection, then --resume"
+        echo "== [resume-smoke] kill -9 mid-collection, then rerun on the" \
+             "same --cache-dir"
         # Background the binary DIRECTLY (no compound command): $! must
         # be the bigfish pid itself, or the kill orphans the child and
         # it races the resumed run.
         "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
-            --resume="$rdir/ckpt" --json="$rdir/out.json" \
+            --cache-dir="$rdir/cache" --json="$rdir/out.json" \
             > "$rdir/first.log" 2>&1 &
         pid=$!
-        # Kill as soon as at least one journal record has been committed.
+        # Kill as soon as one collection chunk entry has been committed.
         for _ in $(seq 1 200); do
-            if grep -lq '@rec' "$rdir"/ckpt/*.journal 2>/dev/null; then
+            if compgen -G "$rdir/cache/collect-*.bfc" > /dev/null; then
                 break
             fi
             sleep 0.05
@@ -241,16 +245,23 @@ for stage in "${stages[@]}"; do
         kill -9 "$pid" 2>/dev/null || true
         wait "$pid" 2>/dev/null || true
         "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
-            --resume="$rdir/ckpt" --json="$rdir/out.json" \
+            --cache-dir="$rdir/cache" --json="$rdir/out.json" \
             > "$rdir/resume.log"
-        if ! grep -q 'resuming:' "$rdir/resume.log"; then
-            echo "== [resume-smoke] note: first run finished before the" \
-                 "kill landed (resume path not exercised this time)"
+        # One "replayed R of N collection chunks" line per configuration
+        # whose featurized entries were missing.
+        replayed="$(grep -oE 'replayed [0-9]+ of' "$rdir/resume.log" |
+                    awk '{ sum += $2 } END { print sum + 0 }')"
+        echo "== [resume-smoke] resumed run replayed $replayed collection" \
+             "chunk(s)"
+        if [ "$replayed" -eq 0 ]; then
+            echo "== [resume-smoke] note: no chunk was replayed (the kill" \
+                 "landed before the first commit or after the run ended)"
         fi
-        # Timings differ run to run and the config echo names the resume
-        # dir; every result line must be identical.
-        if ! diff <(grep -v -e 'Seconds' -e '"resume"' "$rdir/ref.json") \
-                  <(grep -v -e 'Seconds' -e '"resume"' "$rdir/out.json"); then
+        # Timings and peak RSS differ run to run (the Seconds lines) and
+        # the spec echo names the cache dir; every result line must be
+        # identical.
+        if ! diff <(grep -v -e 'Seconds' -e 'cache-dir' "$rdir/ref.json") \
+                  <(grep -v -e 'Seconds' -e 'cache-dir' "$rdir/out.json"); then
             echo "resumed artifact differs from reference" >&2
             exit 1
         fi
@@ -258,7 +269,7 @@ for stage in "${stages[@]}"; do
         echo "== [resume-smoke] forced IO crash under --isolate --keep-going"
         rc=0
         "$builddir/bigfish" run table1_fingerprinting fig3_traces --smoke \
-            --threads=2 --isolate --keep-going --resume="$rdir/crash-ckpt" \
+            --threads=2 --isolate --keep-going --cache-dir="$rdir/crash-cache" \
             --io-crash-after=1 --json-dir="$rdir/crash" \
             > "$rdir/crash.log" 2>&1 || rc=$?
         manifest="$rdir/crash/suite-manifest.json"

@@ -2,8 +2,8 @@
  * @file
  * The repository's two canonical non-cryptographic hashes.
  *
- * Every content-addressed facility (checkpoint journals, the stage
- * cache, stage fingerprints) uses the same two primitives:
+ * Every content-addressed facility (the stage cache, stage and
+ * collection fingerprints) uses the same two primitives:
  *
  *  - fnv64()  — FNV-1a over canonical one-line-per-field text; the
  *    fingerprint building block. Callers finalize compositions with
@@ -13,9 +13,9 @@
  *    torn, interleaved or bit-flipped writes surface as a clean
  *    validation failure instead of wrong data.
  *
- * Both are stable formats: their outputs are persisted in journal and
- * cache files, so changing either is a format break and must bump the
- * owning facility's format version line.
+ * Both are stable formats: their outputs are persisted in cache files
+ * and key their names, so changing either is a format break and must
+ * bump the owning facility's format version line.
  */
 
 #ifndef BF_BASE_HASH_HH

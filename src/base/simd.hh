@@ -20,8 +20,8 @@
  * scalar and SSE2 paths emulate the same eight partial sums and the
  * same horizontal combine tree the AVX2 path uses (hsum8/hsum128 below
  * ARE that tree) — and no path uses fused multiply-add, so changing
- * Tag (or the host CPU) can never change a trained weight, a
- * checkpoint fingerprint, or a `--resume` replay.
+ * Tag (or the host CPU) can never change a trained weight, a stage
+ * fingerprint, or a cache replay.
  */
 
 #ifndef BF_BASE_SIMD_HH

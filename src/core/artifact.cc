@@ -171,7 +171,7 @@ std::string
 RunArtifact::explainText() const
 {
     // sim_* columns attribute where cold time goes: stages that perform
-    // no simulation (and cache/journal replays) report zeros.
+    // no simulation (and cache replays) report zeros.
     Table table({"stage", "phase", "fingerprint", "cache", "cpu_s",
                  "wall_s", "items", "dropped", "sim_events", "sim_irqs",
                  "sim_allocs", "sim_MB_sorted", "sim_events_per_s",
@@ -205,7 +205,8 @@ RunArtifact::explainText() const
            "run: wall " + formatDouble("%.3f", wallSeconds_) + " s, cpu " +
            formatDouble("%.3f", cpuSeconds_) + " s, threads " +
            std::to_string(threads_) + ", utilization " +
-           formatDouble("%.3f", utilization()) + "\n";
+           formatDouble("%.3f", utilization()) + ", peak RSS " +
+           formatDouble("%.1f", peakRssMb_) + " MB\n";
 }
 
 std::string
@@ -236,12 +237,13 @@ RunArtifact::toJson() const
     out += "  \"traces\": {\"collected\": " +
            std::to_string(collectedTraces_) +
            ", \"dropped\": " + std::to_string(droppedTraces_) + "},\n";
-    // The run's timing shares one line, so the Seconds-line convention
-    // filters utilization out of bit-for-bit artifact diffs too.
+    // The run's timing and footprint share one line, so the Seconds-line
+    // convention filters utilization and peak RSS out of bit-for-bit
+    // artifact diffs too.
     out += "  \"wallSeconds\": " + formatDouble("%.3f", wallSeconds_) +
            ", \"cpuSeconds\": " + formatDouble("%.3f", cpuSeconds_) +
            ", \"utilization\": " + formatDouble("%.3f", utilization()) +
-           ",\n";
+           ", \"peakRssMb\": " + formatDouble("%.1f", peakRssMb_) + ",\n";
     out += "  \"phases\": {\"collectCpuSeconds\": " +
            formatDouble("%.3f", collectCpuSeconds()) +
            ", \"collectWallSeconds\": " +

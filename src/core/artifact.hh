@@ -7,7 +7,7 @@
  * CPU and elapsed buckets (collect/featurize/train/eval: CPU is the sum
  * over the phase's stages, elapsed is the union of their intervals on
  * the run's timeline, so overlapping stages are not double-counted),
- * the run's CPU time and core utilization, the fully-resolved
+ * the run's CPU time, core utilization and peak RSS, the fully-resolved
  * spec::RunSpec that produced the run, seed provenance, and the paper's
  * expected-shape numbers from the experiment descriptor. Serialized to
  * JSON it embeds the resolved spec, so feeding the artifact file back
@@ -84,6 +84,8 @@ class RunArtifact
     /** Process CPU seconds the run consumed (every thread). */
     void setCpuSeconds(double seconds) { cpuSeconds_ = seconds; }
     void setThreads(int threads) { threads_ = threads; }
+    /** Peak resident set size of the process that ran it, in MB. */
+    void setPeakRssMb(double megabytes) { peakRssMb_ = megabytes; }
     void setSeedProvenance(SeedProvenance provenance);
     void setExpected(std::vector<ExpectedValue> expected);
 
@@ -114,6 +116,7 @@ class RunArtifact
     double wallSeconds() const { return wallSeconds_; }
     double cpuSeconds() const { return cpuSeconds_; }
     int threads() const { return threads_; }
+    double peakRssMb() const { return peakRssMb_; }
     /** cpu / (wall x threads): how busy the run kept its threads; 0
      *  until wall, CPU and threads are all known. */
     double utilization() const;
@@ -127,7 +130,8 @@ class RunArtifact
      * Human-readable per-stage table for `bigfish run --explain`:
      * stage name, phase, input fingerprint, cache provenance,
      * timing/accounting columns and each stage's place on the run's
-     * timeline (start/end offsets, worker), then a utilization line.
+     * timeline (start/end offsets, worker), then a line with the run's
+     * wall, CPU, utilization and peak RSS.
      */
     std::string explainText() const;
 
@@ -180,6 +184,7 @@ class RunArtifact
     double wallSeconds_ = 0.0;
     double cpuSeconds_ = 0.0;
     int threads_ = 0;
+    double peakRssMb_ = 0.0;
     std::size_t collectedTraces_ = 0;
     std::size_t droppedTraces_ = 0;
 };

@@ -1,166 +1,33 @@
 /**
  * @file
- * CheckpointJournal: append-only collection progress for `--resume`.
+ * collectionFingerprint: the identity of a collection campaign.
  *
- * A full-scale collection campaign is hours of work whose unit of
- * progress is one (site, run) cell — and because every cell is a pure
- * function of (CollectionConfig, site, run), a cell collected before a
- * crash is bit-identical to the same cell collected after a restart.
- * The journal exploits that: each completed cell (every attacker's
- * Result<Trace>, including the *dropped* ones — accounting must survive
- * a resume too) is appended as one CRC-framed record, flushed
- * immediately so a kill -9 loses at most the record in flight.
- *
- * Journals are content-addressed: the filename embeds a fingerprint
- * hash of every collection input that trace content depends on
- * (collectionFingerprint), so a resumed run with a changed seed, fault
- * plan or browser simply opens a different, empty journal — stale
- * progress can never leak into a non-matching run.
- *
- * Recovery contract: on open, the journal replays valid records, drops
- * anything after the first torn/CRC-failed frame boundary it cannot
- * resynchronize past, and commits the repaired journal atomically
- * (tmp+rename, base/atomic_file.hh) before appending resumes. Resumed
- * collection therefore provably produces bit-identical artifacts to an
- * uninterrupted run — the property tests/robustness_test.cc pins by
- * truncating a journal at every byte offset.
- *
- * IO-layer faults (sim::FaultConfig::ioCrashAfterRecords,
- * ioTornWriteBytes, ioCorruptRecordProb) act here, corrupting or
- * aborting persistence without ever touching trace content.
+ * Every (site, run) cell is a pure function of (CollectionConfig, site,
+ * run), so two campaigns whose inputs hash equal collect bit-identical
+ * traces. The pipeline keys its Collect stage, and through it every
+ * collection chunk it persists in the stage cache (core/stage_cache.hh),
+ * by this fingerprint: a rerun with the same configuration replays the
+ * chunks a killed run committed, and a changed seed, fault plan or
+ * browser simply misses.
  */
 
 #ifndef BF_CORE_CHECKPOINT_HH
 #define BF_CORE_CHECKPOINT_HH
 
 #include <cstdint>
-#include <cstdio>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <span>
-#include <string>
-#include <tuple>
-#include <vector>
 
 #include "attack/attacker.hh"
-#include "attack/trace.hh"
-#include "base/result.hh"
-#include "sim/faults.hh"
 
 namespace bigfish::core {
 
 struct CollectionConfig;
 
-/** The two collection worlds a journal record can belong to. */
-constexpr int kCheckpointClosedWorld = 0;
-constexpr int kCheckpointOpenWorld = 1;
-
-/** What open() found (and repaired) in an existing journal. */
-struct CheckpointRepairStats
-{
-    std::size_t cellsLoaded = 0;    ///< Valid cells replayed.
-    std::size_t recordsDropped = 0; ///< CRC-failed or malformed records.
-    std::size_t tailBytesDropped = 0; ///< Torn bytes discarded at EOF.
-
-    /** True when the journal needed repair on open. */
-    bool repaired() const
-    {
-        return recordsDropped > 0 || tailBytesDropped > 0;
-    }
-};
-
-/**
- * Append-only per-(world, site, run) collection checkpoint journal.
- * Thread-safe: appendCell() and lookup() may race from the collection
- * worker pool.
- */
-class CheckpointJournal
-{
-  public:
-    /**
-     * Opens (creating @p dir as needed) the journal for @p fingerprint,
-     * replaying and repairing any existing progress. @p faults supplies
-     * the IO-layer fault plan; pass sim::FaultConfig::none() outside
-     * fault-injection runs.
-     */
-    [[nodiscard]] static Result<std::unique_ptr<CheckpointJournal>>
-    open(const std::string &dir, std::uint64_t fingerprint,
-         const sim::FaultConfig &faults);
-
-    ~CheckpointJournal();
-
-    CheckpointJournal(const CheckpointJournal &) = delete;
-    CheckpointJournal &operator=(const CheckpointJournal &) = delete;
-
-    /** The journal file path. */
-    const std::string &path() const { return path_; }
-
-    /** Repair/replay accounting from open(). */
-    const CheckpointRepairStats &repairStats() const { return stats_; }
-
-    /** Number of completed cells currently journaled. */
-    std::size_t cellCount() const;
-
-    /**
-     * The journaled cell (one Result<Trace> per attacker, dropped
-     * traces reconstructed as their original error Status), or nullopt
-     * when (world, site, run) has not been completed.
-     */
-    [[nodiscard]] std::optional<std::vector<Result<attack::Trace>>>
-    lookup(int world, SiteId site, int run) const;
-
-    /**
-     * Appends one completed cell and flushes it to the OS so a kill -9
-     * immediately afterwards cannot lose it. Subject to the configured
-     * IO faults: may deterministically corrupt the record on disk or
-     * hard-crash the process mid-write.
-     */
-    [[nodiscard]] Status appendCell(int world, SiteId site, int run,
-                                const std::vector<Result<attack::Trace>> &cell);
-
-  private:
-    /** One journaled attacker slot: a trace or its drop reason. */
-    struct StoredEntry
-    {
-        bool ok = false;
-        attack::Trace trace;
-        ErrorCode code = ErrorCode::Ok;
-        std::string message;
-    };
-    using StoredCell = std::vector<StoredEntry>;
-    using CellKey = std::tuple<int, SiteId, int>;
-
-    CheckpointJournal() = default;
-
-    /** The "# bigfish-checkpoint v1 fp=<hex>" first line. */
-    std::string headerLine() const;
-    /** One cell as the line-oriented record payload. */
-    static std::string serializeCell(int world, SiteId site, int run,
-                                     const StoredCell &cell);
-    /** Inverse of serializeCell(); false on malformed payload. */
-    static bool parseCell(const std::string &payload, CellKey &key,
-                          StoredCell &cell);
-    /** Wraps a payload in its "@rec <len> <crc>" frame. */
-    static std::string frameRecord(const std::string &payload);
-
-    std::string path_;
-    std::uint64_t fingerprint_ = 0;
-    sim::FaultConfig faults_;
-    CheckpointRepairStats stats_;
-    mutable std::mutex mutex_;
-    std::map<CellKey, StoredCell> cells_;
-    FILE *file_ = nullptr;
-    /** Records appended by *this* process (drives the crash fault). */
-    std::size_t appended_ = 0;
-};
-
 /**
  * Deterministic fingerprint of everything a collected trace's content
  * depends on: the full CollectionConfig (signal faults included, IO
  * faults excluded — they never alter content), the catalog geometry and
- * the attacker set. Two configurations hash equal iff their journals
+ * the attacker set. Two configurations hash equal iff their collections
  * are interchangeable.
  */
 [[nodiscard]] std::uint64_t

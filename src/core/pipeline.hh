@@ -14,7 +14,10 @@
  * content-addressed, so with a cacheDir any upstream prefix whose
  * fingerprints match a previous run replays from the stage cache
  * bit-identically, and the per-stage timing/cache table comes back in
- * FingerprintResult::stages.
+ * FingerprintResult::stages. Collect persists its raw traces there
+ * too, one entry per collection chunk (a site's runs, or tracesPerSite
+ * open-world traces), so rerunning a killed run with the same cacheDir
+ * collects only the chunks it never committed.
  *
  * runFingerprintingBatch() declares many configurations into one graph
  * and executes it once: every job's per-(site, run) collection tasks,
@@ -64,19 +67,14 @@ struct PipelineConfig
     /** Catalog seed (same seed = same 100 websites). */
     std::uint64_t catalogSeed = 7;
     /**
-     * Checkpoint/resume directory ("" disables journaling). When set,
-     * completed (site, run) cells are journaled there
-     * (core/checkpoint.hh) and a re-run with the same configuration
-     * resumes from the journal, bit-identically.
-     */
-    std::string checkpointDir;
-    /**
      * Stage cache directory ("" disables caching). When set, every
-     * cacheable stage output — featurized datasets, trained fold
-     * models, per-fold evaluation scores — is stored content-addressed
-     * (core/stage_cache.hh) and a re-run reuses whatever upstream
-     * prefix of the stage graph still fingerprints the same, replaying
-     * it bit-identically: changing only evaluation settings skips
+     * cacheable stage output — raw collection chunks, featurized
+     * datasets, trained fold models, per-fold evaluation scores — is
+     * stored content-addressed (core/stage_cache.hh) and a re-run
+     * reuses whatever upstream prefix of the stage graph still
+     * fingerprints the same, replaying it bit-identically: a killed run
+     * resumes from the chunks it committed, a featurization-only change
+     * skips collection, and changing only evaluation settings skips
      * collection, featurization and (for eval-only knobs like topK)
      * training too.
      */

@@ -70,15 +70,12 @@ commonScaleSchema()
                  "use the paper's exact CNN-LSTM hyperparameters")
         .addInt("threads", "", 0, 0, 4096,
                 "worker threads (0 = BF_THREADS, else hardware)")
-        .addString("resume", "BF_RESUME", "",
-                   "checkpoint/resume directory (\"\" disables)")
         .addString("cache-dir", "BF_CACHE_DIR", "",
-                   "stage cache directory: featurized data, fold models "
-                   "and fold scores (\"\" disables)")
+                   "stage cache directory: collection chunks, featurized "
+                   "data, fold models and fold scores (\"\" disables)")
         .addInt("io-crash-after", "BF_IO_CRASH_AFTER", 0, 0, 1000000000,
-                "fault injection: crash after N checkpoint records")
-        .addInt("io-torn-bytes", "BF_IO_TORN_BYTES", 0, 0, 1000000000,
-                "fault injection: torn bytes of the crashed record");
+                "fault injection: crash after N collection-chunk cache "
+                "entries");
     return schema;
 }
 
@@ -96,12 +93,9 @@ scaleFromSpec(const spec::RunSpec &run_spec)
     scale.seed = static_cast<std::uint64_t>(run_spec.getInt("seed"));
     scale.paperModel = run_spec.getBool("paper-model");
     scale.threads = static_cast<int>(run_spec.getInt("threads"));
-    scale.resumeDir = run_spec.getString("resume");
     scale.cacheDir = run_spec.getString("cache-dir");
     scale.ioCrashAfterRecords =
         static_cast<int>(run_spec.getInt("io-crash-after"));
-    scale.ioTornWriteBytes =
-        static_cast<int>(run_spec.getInt("io-torn-bytes"));
     return scale;
 }
 
@@ -147,7 +141,6 @@ pipelineForScale(const ExperimentScale &scale)
     pipeline.eval.seed = scale.seed;
     pipeline.eval.topK = scale.topK;
     pipeline.factory = classifierForScale(scale);
-    pipeline.checkpointDir = scale.resumeDir;
     pipeline.cacheDir = scale.cacheDir;
     return pipeline;
 }
@@ -158,7 +151,6 @@ collectionForScale(const ExperimentScale &scale)
     CollectionConfig config;
     config.seed = scale.seed;
     config.faults.ioCrashAfterRecords = scale.ioCrashAfterRecords;
-    config.faults.ioTornWriteBytes = scale.ioTornWriteBytes;
     return config;
 }
 

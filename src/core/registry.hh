@@ -117,15 +117,12 @@ struct ExperimentScale
     std::uint64_t seed = 2022;
     bool paperModel = false;
     int threads = 0;
-    /** Checkpoint/resume directory ("" disables journaling). */
-    std::string resumeDir;
-    /** Stage cache directory (featurized data, fold models, fold
-     *  scores; "" disables caching). */
+    /** Stage cache directory (collection chunks, featurized data, fold
+     *  models, fold scores; "" disables caching). */
     std::string cacheDir;
-    /** IO fault injection: crash after N journal records (0 = off). */
+    /** IO fault injection: crash after N collection-chunk cache entries
+     *  (0 = off). */
     int ioCrashAfterRecords = 0;
-    /** IO fault injection: torn bytes of the crashed record. */
-    int ioTornWriteBytes = 0;
 };
 
 /** Decodes the common knobs from @p run_spec (panics when missing). */
@@ -142,9 +139,9 @@ PipelineConfig pipelineForScale(const ExperimentScale &scale);
 
 /**
  * Builds the baseline CollectionConfig for the scale: master seed plus
- * the IO-layer fault knobs (sim/faults.hh) wired through so `--resume`
- * runs can be crash-tested from the CLI. Experiments overlay their own
- * machine/browser/defense configuration on top.
+ * the IO-layer fault knob (sim/faults.hh) wired through so resuming
+ * `--cache-dir` runs can be crash-tested from the CLI. Experiments
+ * overlay their own machine/browser/defense configuration on top.
  */
 CollectionConfig collectionForScale(const ExperimentScale &scale);
 

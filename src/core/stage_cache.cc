@@ -41,6 +41,10 @@ constexpr const char *kByteOrder =
 
 static_assert(sizeof(Label) == sizeof(std::int32_t),
               "labels are stored as int32");
+static_assert(sizeof(SiteId) == sizeof(std::int32_t),
+              "site ids are stored as int32");
+static_assert(sizeof(TimeNs) == sizeof(std::int64_t),
+              "wall times are stored as int64");
 
 std::string
 headerLine(std::string_view kind, std::uint64_t key)
@@ -91,14 +95,6 @@ put(std::string &out, T value)
     putArray(out, &value, 1);
 }
 
-/** A length-prefixed label vector. */
-void
-putLabels(std::string &out, const std::vector<Label> &labels)
-{
-    put<std::uint64_t>(out, labels.size());
-    putArray(out, labels.data(), labels.size());
-}
-
 /** A rows × cols matrix; every row is as wide as the first. */
 void
 putMatrix(std::string &out, const std::vector<std::vector<double>> &rows)
@@ -136,15 +132,31 @@ get(std::string_view &in, T &value)
     return getArray(in, &value, 1);
 }
 
+/** A length-prefixed array of raw values. */
+template <typename T>
+void
+putVector(std::string &out, const std::vector<T> &values)
+{
+    put<std::uint64_t>(out, values.size());
+    putArray(out, values.data(), values.size());
+}
+
+template <typename T>
+[[nodiscard]] bool
+getVector(std::string_view &in, std::vector<T> &values)
+{
+    std::uint64_t n = 0;
+    if (!get(in, n) || n > in.size() / sizeof(T))
+        return false;
+    values.resize(static_cast<std::size_t>(n));
+    return getArray(in, values.data(), values.size());
+}
+
 /** A length-prefixed label vector, every label in [0, classes). */
 [[nodiscard]] bool
 getLabels(std::string_view &in, std::vector<Label> &labels, Label classes)
 {
-    std::uint64_t n = 0;
-    if (!get(in, n) || n > in.size() / sizeof(Label))
-        return false;
-    labels.resize(static_cast<std::size_t>(n));
-    return getArray(in, labels.data(), labels.size()) &&
+    return getVector(in, labels) &&
            std::all_of(labels.begin(), labels.end(),
                        [&](Label l) { return l >= 0 && l < classes; });
 }
@@ -173,7 +185,7 @@ void
 putDataset(std::string &out, const ml::Dataset &data)
 {
     put<std::int32_t>(out, data.numClasses);
-    putLabels(out, data.labels);
+    putVector(out, data.labels);
     putMatrix(out, data.features);
 }
 
@@ -186,6 +198,76 @@ getDataset(std::string_view &in, ml::Dataset &data)
     data.numClasses = classes;
     return getLabels(in, data.labels, classes) &&
            getMatrix(in, data.features, data.labels.size());
+}
+
+/** A length-prefixed byte string. */
+void
+putString(std::string &out, std::string_view text)
+{
+    put<std::uint64_t>(out, text.size());
+    out.append(text);
+}
+
+[[nodiscard]] bool
+getString(std::string_view &in, std::string &text)
+{
+    std::uint64_t n = 0;
+    if (!get(in, n) || n > in.size())
+        return false;
+    text.assign(in.substr(0, static_cast<std::size_t>(n)));
+    in.remove_prefix(static_cast<std::size_t>(n));
+    return true;
+}
+
+/** One attacker slot of a collection cell: tag 1 and the trace, or
+ *  tag 0 and the Status it was dropped with. */
+void
+putSlot(std::string &out, const Result<attack::Trace> &slot)
+{
+    put<std::uint8_t>(out, slot.isOk() ? 1 : 0);
+    if (!slot.isOk()) {
+        put<std::int32_t>(out,
+                          static_cast<std::int32_t>(slot.status().code()));
+        putString(out, slot.status().message());
+        return;
+    }
+    const attack::Trace &trace = slot.value();
+    put<std::int32_t>(out, trace.siteId);
+    put<std::int32_t>(out, trace.label);
+    put<std::int64_t>(out, trace.period);
+    putString(out, trace.attacker);
+    putVector(out, trace.counts);
+    putVector(out, trace.wallTimes);
+}
+
+[[nodiscard]] std::optional<Result<attack::Trace>>
+getSlot(std::string_view &in)
+{
+    std::uint8_t ok = 0;
+    if (!get(in, ok) || ok > 1)
+        return std::nullopt;
+    if (ok == 0) {
+        std::int32_t code = 0;
+        std::string message;
+        if (!get(in, code) ||
+            code <= static_cast<std::int32_t>(ErrorCode::Ok) ||
+            code > static_cast<std::int32_t>(ErrorCode::Exhausted) ||
+            !getString(in, message))
+            return std::nullopt;
+        return Result<attack::Trace>(
+            Status(static_cast<ErrorCode>(code), std::move(message)));
+    }
+    attack::Trace trace;
+    std::int32_t site = 0, label = 0;
+    std::int64_t period = 0;
+    if (!get(in, site) || !get(in, label) || !get(in, period) ||
+        !getString(in, trace.attacker) || !getVector(in, trace.counts) ||
+        !getVector(in, trace.wallTimes))
+        return std::nullopt;
+    trace.siteId = site;
+    trace.label = label;
+    trace.period = period;
+    return Result<attack::Trace>(std::move(trace));
 }
 
 /** Reads the entry at @p path whole into @p content with one read. */
@@ -344,6 +426,49 @@ StageCache::stats() const
 }
 
 std::string
+encodeCollectChunk(std::span<const CollectedCell> cells)
+{
+    const std::size_t attackers =
+        cells.empty() ? 0 : cells.front().traces.size();
+    std::string out;
+    put<std::uint64_t>(out, cells.size());
+    put<std::uint64_t>(out, attackers);
+    for (const CollectedCell &cell : cells) {
+        panicIf(cell.traces.size() != attackers,
+                "stage cache: ragged collection chunk");
+        for (const Result<attack::Trace> &slot : cell.traces)
+            putSlot(out, slot);
+    }
+    return out;
+}
+
+std::optional<std::vector<CollectedCell>>
+decodeCollectChunk(const std::string &payload, std::size_t cells,
+                   std::size_t attackers)
+{
+    std::string_view in = payload;
+    std::uint64_t stored_cells = 0, stored_attackers = 0;
+    // Every slot takes at least its tag byte.
+    if (!get(in, stored_cells) || !get(in, stored_attackers) ||
+        stored_cells != cells || stored_attackers != attackers ||
+        (attackers != 0 && cells > in.size() / attackers))
+        return std::nullopt;
+    std::vector<CollectedCell> out(cells);
+    for (CollectedCell &cell : out) {
+        cell.traces.reserve(attackers);
+        for (std::size_t a = 0; a < attackers; ++a) {
+            std::optional<Result<attack::Trace>> slot = getSlot(in);
+            if (!slot)
+                return std::nullopt;
+            cell.traces.push_back(std::move(*slot));
+        }
+    }
+    if (!in.empty())
+        return std::nullopt;
+    return out;
+}
+
+std::string
 encodeFeaturized(const FeaturizedEntry &entry)
 {
     std::string out;
@@ -377,8 +502,8 @@ std::string
 encodeFoldScores(const ml::FoldScores &fold)
 {
     std::string out;
-    putLabels(out, fold.truths);
-    putLabels(out, fold.predictions);
+    putVector(out, fold.truths);
+    putVector(out, fold.predictions);
     putMatrix(out, fold.scores);
     return out;
 }

@@ -10,8 +10,8 @@
  * delegate the arithmetic, so blocking/threading decisions stay where
  * they were while the flops dispatch to the best ISA.
  *
- * Determinism contract (DESIGN.md §10), load-bearing for checkpoint
- * fingerprints and `--resume` replay:
+ * Determinism contract (DESIGN.md §10), load-bearing for stage
+ * fingerprints and stage-cache replay:
  *
  *  - Reductions (dot, dotTile4x2) accumulate into a fixed 8-lane
  *    virtual accumulator: lane l sums a[i+l]*b[i+l] for i = 0, 8, 16…,

@@ -72,39 +72,27 @@ struct FaultConfig
     /** Largest fraction of periods a truncated trace keeps. */
     double truncateKeepMax = 1.0;
 
-    // --- IO-layer faults (checkpoint journal / artifact writes, §9).
-    // These drive the crash-recovery harness rather than the simulated
-    // signal: they corrupt or abort the *persistence* of traces, never
-    // their content, so they are deliberately excluded from enabled().
+    // --- IO-layer fault (stage-cache collection chunks, §9). It drives
+    // the crash-recovery harness rather than the simulated signal: it
+    // aborts the *persistence* of traces, never their content, so it is
+    // deliberately excluded from enabled().
     /**
-     * >0: hard-crash (abort, as if kill -9) after this many checkpoint
-     * journal records have been appended. The crash happens *mid-append*
-     * of the next record so resume code must cope with a torn tail.
+     * >0: hard-crash (abort, as if kill -9) right after this many
+     * collection-chunk entries have been committed to the stage cache
+     * in this process, so a rerun must resume from a partial cache.
      */
     int ioCrashAfterRecords = 0;
-    /** Bytes of the in-flight record that reach disk before the crash. */
-    int ioTornWriteBytes = 0;
-    /**
-     * Probability each appended journal record is corrupted on disk
-     * (one payload byte flipped after the CRC was computed), exercising
-     * the reader's CRC framing.
-     */
-    double ioCorruptRecordProb = 0.0;
 
     /** Fault-stream seed, mixed with each trace's identity. */
     std::uint64_t seed = 0;
 
     /**
      * True when any *signal* fault process is active (timeline, timer,
-     * stall or truncation faults). IO faults are queried separately via
-     * ioEnabled(): they never change trace content, only its
-     * persistence, so they must not force the slow fault path through
-     * the collection engine.
+     * stall or truncation faults). The IO fault does not count: it
+     * never changes trace content, only its persistence, so it must not
+     * force the slow fault path through the collection engine.
      */
     bool enabled() const;
-
-    /** True when any IO-layer (journal/artifact) fault is active. */
-    bool ioEnabled() const;
 
     /** The all-zeros plan (the default: no faults). */
     static FaultConfig none() { return {}; }

@@ -391,5 +391,21 @@ TEST(RunArtifact, UtilizationIsCpuOverWallTimesThreads)
               std::string::npos);
 }
 
+TEST(RunArtifact, PeakRssSharesTheTimingLine)
+{
+    RunArtifact artifact("unit", spec::RunSpec{});
+    artifact.setPeakRssMb(412.5);
+    EXPECT_EQ(artifact.peakRssMb(), 412.5);
+    const std::string json = artifact.toJson();
+    // Run-to-run it varies like the timings, so it must sit on the
+    // wallSeconds line that Seconds-filtered artifact diffs drop.
+    const std::size_t at = json.find("\"peakRssMb\": 412.5");
+    ASSERT_NE(at, std::string::npos) << json;
+    const std::size_t line = json.rfind('\n', at) + 1;
+    EXPECT_EQ(json.compare(line, 16, "  \"wallSeconds\":"), 0) << json;
+    EXPECT_NE(artifact.explainText().find("peak RSS 412.5 MB"),
+              std::string::npos);
+}
+
 } // namespace
 } // namespace bigfish::core

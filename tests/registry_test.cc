@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <regex>
 #include <set>
 #include <sstream>
 
@@ -66,12 +65,21 @@ TEST(Registry, MatchesDesignDocExperimentIndex)
     text << in.rdbuf();
     const std::string design = text.str();
 
+    // Every "bigfish run <name>" where <name> is [a-z0-9_]+.
     std::set<std::string> documented;
-    const std::regex pattern("bigfish run ([a-z0-9_]+)");
-    for (auto it = std::sregex_iterator(design.begin(), design.end(),
-                                        pattern);
-         it != std::sregex_iterator(); ++it)
-        documented.insert((*it)[1].str());
+    const std::string prefix = "bigfish run ";
+    const auto in_name = [](char c) {
+        return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
+    };
+    for (std::size_t at = design.find(prefix); at != std::string::npos;
+         at = design.find(prefix, at + 1)) {
+        std::size_t end = at + prefix.size();
+        while (end < design.size() && in_name(design[end]))
+            ++end;
+        if (end > at + prefix.size())
+            documented.insert(
+                design.substr(at + prefix.size(), end - at - prefix.size()));
+    }
 
     const auto names = registry().names();
     const std::set<std::string> registered(names.begin(), names.end());

@@ -2,9 +2,9 @@
  * @file
  * Determinism tests for the simulator perf counters (sim/perf.hh,
  * DESIGN.md §13): for a pinned spec the counts are exact constants,
- * identical at every thread count and SIMD dispatch tag, and
- * journal-replayed cells report zero because the counters measure work
- * performed, exactly like cpuSeconds.
+ * identical at every thread count and SIMD dispatch tag, and cells
+ * replayed from stage-cache collection chunks report zero because the
+ * counters measure work performed, exactly like cpuSeconds.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +13,8 @@
 
 #include "base/simd.hh"
 #include "base/thread_pool.hh"
-#include "core/checkpoint.hh"
 #include "core/collector.hh"
+#include "core/pipeline.hh"
 #include "web/catalog.hh"
 
 namespace bigfish::core {
@@ -108,47 +108,44 @@ TEST(SimPerfCounters, CountsIdenticalAcrossSimdTags)
     }
 }
 
-TEST(SimPerfCounters, JournalReplayedCellsReportZero)
+TEST(SimPerfCounters, ChunkReplayedCellsReportZero)
 {
-    // Counters measure work *performed*: a sweep fully served from the
-    // checkpoint journal does no simulation and must report zero, so
-    // the --explain table attributes replays honestly (mirrors how a
-    // replayed stage's cpuSeconds is the replay cost, not the original).
+    // Counters measure work *performed*: a collection fully replayed
+    // from the stage cache's collection chunks does no simulation and
+    // must report zero, so the --explain table attributes replays
+    // honestly (mirrors how a replayed stage's cpuSeconds is the replay
+    // cost, not the original).
     namespace fs = std::filesystem;
-    const std::string dir =
-        testing::TempDir() + "bf_sim_perf_checkpoint";
+    const std::string dir = testing::TempDir() + "bf_sim_perf_chunks";
     fs::remove_all(dir);
-    fs::create_directories(dir);
 
     const CollectionConfig config = pinnedConfig();
-    const web::SiteCatalog catalog(kSites, kCatalogSeed);
-    const attack::AttackerKind attackers[] = {config.attacker};
-    const std::uint64_t fp = collectionFingerprint(
-        config, kCatalogSeed, kSites, 0, attackers);
+    PipelineConfig pipeline;
+    pipeline.numSites = kSites;
+    pipeline.tracesPerSite = kRuns;
+    pipeline.catalogSeed = kCatalogSeed;
+    pipeline.featureLen = 32;
+    pipeline.eval.folds = 2;
+    pipeline.factory = ml::knnFactory(1);
+    pipeline.cacheDir = dir;
 
-    auto first = CheckpointJournal::open(dir, fp, config.faults);
-    ASSERT_TRUE(first.isOk()) << first.status().message();
-    TraceCollector cold(config);
-    cold.setCheckpoint(first.value().get());
-    sim::PerfCounters cold_perf;
-    ASSERT_TRUE(cold
-                    .collectClosedWorldMulti(catalog, kRuns, attackers,
-                                             nullptr, &cold_perf)
-                    .isOk());
-    EXPECT_FALSE(cold_perf.empty());
+    const auto cold = runFingerprinting(config, pipeline);
+    ASSERT_TRUE(cold.isOk()) << cold.status().toString();
+    const StageReport &cold_collect = cold.value().stages.front();
+    ASSERT_EQ(cold_collect.name, "collect");
+    // The pipeline collects exactly the pinned sweep.
+    EXPECT_EQ(cold_collect.sim.eventsSimulated, 240551);
+    EXPECT_EQ(cold_collect.sim.bytesSorted, 5687880);
 
-    auto second = CheckpointJournal::open(dir, fp, config.faults);
-    ASSERT_TRUE(second.isOk()) << second.status().message();
-    ASSERT_EQ(second.value()->cellCount(),
-              static_cast<std::size_t>(kSites * kRuns));
-    TraceCollector warm(config);
-    warm.setCheckpoint(second.value().get());
-    sim::PerfCounters warm_perf;
-    ASSERT_TRUE(warm
-                    .collectClosedWorldMulti(catalog, kRuns, attackers,
-                                             nullptr, &warm_perf)
-                    .isOk());
-    EXPECT_TRUE(warm_perf.empty());
+    // A featurization-only change misses the featurized entry, so the
+    // Collect stage runs again — entirely from its chunks.
+    pipeline.featureLen = 48;
+    const auto warm = runFingerprinting(config, pipeline);
+    ASSERT_TRUE(warm.isOk()) << warm.status().toString();
+    const StageReport &warm_collect = warm.value().stages.front();
+    EXPECT_EQ(warm_collect.cache, StageCacheState::Hit);
+    EXPECT_TRUE(warm_collect.sim.empty());
+    EXPECT_EQ(warm.value().collectedTraces, cold.value().collectedTraces);
     fs::remove_all(dir);
 }
 

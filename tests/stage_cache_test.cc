@@ -169,6 +169,42 @@ expectDatasetsBitEqual(const ml::Dataset &got, const ml::Dataset &want)
     expectRowsBitEqual(got.features, want.features);
 }
 
+/**
+ * A chunk of @p cells cells with two attacker slots each: traces whose
+ * counts include every special value and whose wall times need all 64
+ * bits, and every third slot dropped with a multi-line message.
+ */
+std::vector<CollectedCell>
+makeChunk(std::uint64_t seed, std::size_t cells)
+{
+    Rng rng(seed);
+    std::vector<CollectedCell> chunk(cells);
+    std::size_t slot = 0;
+    for (std::size_t c = 0; c < cells; ++c) {
+        for (int a = 0; a < 2; ++a, ++slot) {
+            if (slot % 3 == 2) {
+                chunk[c].traces.emplace_back(Status(
+                    ErrorCode::DataError,
+                    "trace of site " + std::to_string(c) + "\ntruncated"));
+                continue;
+            }
+            attack::Trace trace;
+            trace.siteId = static_cast<SiteId>(c);
+            trace.label = static_cast<Label>(c);
+            trace.period = 5'000'000;
+            trace.attacker = a == 0 ? "loop-counting" : "sweep-counting";
+            trace.counts = specialValues();
+            for (int i = 0; i < 9; ++i) {
+                trace.counts.push_back(rng.uniform() * 1e5 / 3.0);
+                trace.wallTimes.push_back(
+                    (std::int64_t{1} << 40) + rng.uniformInt(-40000, 40000));
+            }
+            chunk[c].traces.emplace_back(std::move(trace));
+        }
+    }
+    return chunk;
+}
+
 std::string
 readFile(const std::string &path)
 {
@@ -248,6 +284,39 @@ TEST(StageCache, FoldScoresRoundTripBitExactly)
     EXPECT_EQ(hit->truths, fold.truths);
     EXPECT_EQ(hit->predictions, fold.predictions);
     expectRowsBitEqual(hit->scores, fold.scores);
+}
+
+TEST(StageCache, CollectChunkRoundTripsBitExactlyIncludingDroppedTraces)
+{
+    StageCache cache = openFresh("chunk");
+    const std::vector<CollectedCell> chunk = makeChunk(9, 4);
+    ASSERT_TRUE(cache.put("collect", 21, encodeCollectChunk(chunk)).isOk());
+    const auto payload = cache.lookup("collect", 21);
+    ASSERT_TRUE(payload.has_value());
+    const auto decoded = decodeCollectChunk(*payload, 4, 2);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->size(), chunk.size());
+    for (std::size_t c = 0; c < chunk.size(); ++c) {
+        ASSERT_EQ((*decoded)[c].traces.size(), 2u);
+        EXPECT_TRUE((*decoded)[c].perf.empty())
+            << "a replayed cell performed no simulation";
+        for (std::size_t a = 0; a < 2; ++a) {
+            const Result<attack::Trace> &got = (*decoded)[c].traces[a];
+            const Result<attack::Trace> &want = chunk[c].traces[a];
+            ASSERT_EQ(got.isOk(), want.isOk()) << c << "/" << a;
+            if (!want.isOk()) {
+                EXPECT_EQ(got.status().code(), want.status().code());
+                EXPECT_EQ(got.status().message(), want.status().message());
+                continue;
+            }
+            EXPECT_EQ(got.value().siteId, want.value().siteId);
+            EXPECT_EQ(got.value().label, want.value().label);
+            EXPECT_EQ(got.value().period, want.value().period);
+            EXPECT_EQ(got.value().attacker, want.value().attacker);
+            expectRowsBitEqual({got.value().counts}, {want.value().counts});
+            EXPECT_EQ(got.value().wallTimes, want.value().wallTimes);
+        }
+    }
 }
 
 TEST(StageCache, SpecialValuesRoundTripBitExactly)
@@ -613,6 +682,39 @@ const StageCodec<FeaturizedEntry> kFeaturizedCodec{
 const StageCodec<ml::FoldScores> kScoresCodec{"scores", &encodeFoldScores,
                                               &decodeFoldScores};
 
+/** The collect codec for chunks of @p cells cells × @p attackers. */
+StageCodec<std::vector<CollectedCell>>
+chunkCodec(std::size_t cells, std::size_t attackers)
+{
+    return {"collect",
+            [](const std::vector<CollectedCell> &chunk) {
+                return encodeCollectChunk(chunk);
+            },
+            [=](const std::string &payload) {
+                return decodeCollectChunk(payload, cells, attackers);
+            }};
+}
+
+/** A one-cell, two-attacker chunk payload: an OK slot whose counts
+ *  header says @p counts_header but that carries @p counts values and
+ *  two wall times, then a slot dropped with error code @p code. */
+std::string
+chunkPayload(std::uint64_t counts_header, std::size_t counts,
+             std::int32_t code, std::uint64_t message_header = 4)
+{
+    Bytes b;
+    b << std::uint64_t{1} << std::uint64_t{2};
+    b << std::uint8_t{1} << std::int32_t{3} << std::int32_t{3}
+      << std::int64_t{5'000'000} << std::uint64_t{4} << 'l' << 'o' << 'o'
+      << 'p' << counts_header;
+    for (std::size_t i = 0; i < counts; ++i)
+        b << 0.5 * static_cast<double>(i);
+    b << std::uint64_t{2} << std::int64_t{-1} << std::int64_t{1};
+    b << std::uint8_t{0} << code << message_header << 'g' << 'o' << 'n'
+      << 'e';
+    return b.str();
+}
+
 TEST(StageCacheDecoder, HandBuiltPayloadsMatchTheCodecLayout)
 {
     // Positive controls: the builders below are only evidence if their
@@ -621,6 +723,23 @@ TEST(StageCacheDecoder, HandBuiltPayloadsMatchTheCodecLayout)
     EXPECT_TRUE(replays(cache, kFeaturizedCodec,
                         closedOnlyPayload(7, {0, 6}, 2, 3, 6)));
     EXPECT_TRUE(replays(cache, kScoresCodec, scoresPayload(3, 3, 3, 4)));
+    EXPECT_TRUE(replays(cache, chunkCodec(1, 2),
+                        chunkPayload(3, 3, std::int32_t{6})));
+
+    // And the encoder writes exactly that layout.
+    CollectedCell cell;
+    attack::Trace trace;
+    trace.siteId = 3;
+    trace.label = 3;
+    trace.period = 5'000'000;
+    trace.attacker = "loop";
+    trace.counts = {0.0, 0.5, 1.0};
+    trace.wallTimes = {-1, 1};
+    cell.traces.emplace_back(std::move(trace));
+    cell.traces.emplace_back(dataError("gone"));
+    const CollectedCell cells[] = {cell};
+    EXPECT_EQ(encodeCollectChunk(cells),
+              chunkPayload(3, 3, std::int32_t{6}));
 }
 
 TEST(StageCacheDecoder, EveryTruncationOfAFeaturizedPayloadMisses)
@@ -682,6 +801,74 @@ TEST(StageCacheDecoder, TrailingBytesMiss)
                          encodeFeaturized(makeEntry(6, false)) + '\0'));
     EXPECT_FALSE(
         replays(cache, kScoresCodec, scoresPayload(3, 3, 3, 4) + "x"));
+    EXPECT_FALSE(replays(cache, chunkCodec(1, 2),
+                         chunkPayload(3, 3, std::int32_t{6}) + '\0'));
+}
+
+TEST(StageCacheDecoder, EveryTruncationOfACollectChunkMisses)
+{
+    StageCache cache = openFresh("decoder_chunk_truncation");
+    const std::string full = encodeCollectChunk(makeChunk(4, 3));
+    ASSERT_TRUE(replays(cache, chunkCodec(3, 2), full));
+    for (std::size_t n = 0; n < full.size(); ++n)
+        ASSERT_FALSE(replays(cache, chunkCodec(3, 2), full.substr(0, n)))
+            << "truncated to " << n << " of " << full.size() << " bytes";
+}
+
+TEST(StageCacheDecoder, CollectChunkWithAnOutOfRangeErrorCodeMisses)
+{
+    StageCache cache = openFresh("decoder_chunk_code");
+    const auto exhausted = static_cast<std::int32_t>(ErrorCode::Exhausted);
+    EXPECT_TRUE(replays(cache, chunkCodec(1, 2),
+                        chunkPayload(3, 3, exhausted)));
+    // A dropped trace whose code is Ok would be no drop at all.
+    for (const std::int32_t code : {std::int32_t{0}, exhausted + 1,
+                                    std::int32_t{-1}})
+        EXPECT_FALSE(replays(cache, chunkCodec(1, 2),
+                             chunkPayload(3, 3, code)))
+            << "code " << code;
+    // A slot tag that is neither a trace (1) nor a drop (0).
+    std::string bad_tag = chunkPayload(3, 3, exhausted);
+    bad_tag[16] = 2;
+    EXPECT_FALSE(replays(cache, chunkCodec(1, 2), bad_tag));
+}
+
+TEST(StageCacheDecoder, CollectChunkCountOverflowMisses)
+{
+    StageCache cache = openFresh("decoder_chunk_overflow");
+    const auto code = std::int32_t{6};
+    // A counts length whose byte size wraps to exactly 0 in 64 bits, or
+    // that no payload could hold.
+    EXPECT_FALSE(replays(cache, chunkCodec(1, 2),
+                         chunkPayload(1ULL << 61, 0, code)));
+    EXPECT_FALSE(replays(
+        cache, chunkCodec(1, 2),
+        chunkPayload(std::numeric_limits<std::uint64_t>::max(), 0, code)));
+    // A message length beyond the payload.
+    EXPECT_FALSE(replays(
+        cache, chunkCodec(1, 2),
+        chunkPayload(3, 3, code, std::numeric_limits<std::uint64_t>::max())));
+    EXPECT_FALSE(
+        replays(cache, chunkCodec(1, 2), chunkPayload(3, 3, code, 5)));
+}
+
+TEST(StageCacheDecoder, CollectChunkOfTheWrongShapeMisses)
+{
+    StageCache cache = openFresh("decoder_chunk_shape");
+    const std::string payload = encodeCollectChunk(makeChunk(5, 3));
+    EXPECT_TRUE(replays(cache, chunkCodec(3, 2), payload));
+    // A chunk written for another attacker set or chunk size.
+    EXPECT_FALSE(replays(cache, chunkCodec(3, 1), payload));
+    EXPECT_FALSE(replays(cache, chunkCodec(3, 3), payload));
+    EXPECT_FALSE(replays(cache, chunkCodec(2, 2), payload));
+    EXPECT_FALSE(replays(cache, chunkCodec(4, 2), payload));
+    // Two slots whose header claims one attacker: the slots would fill
+    // the expected shape exactly, so only the stored count betrays it.
+    std::string misstated = chunkPayload(3, 3, std::int32_t{6});
+    const std::uint64_t one = 1;
+    misstated.replace(8, sizeof(one),
+                      reinterpret_cast<const char *>(&one), sizeof(one));
+    EXPECT_FALSE(replays(cache, chunkCodec(1, 2), misstated));
 }
 
 TEST(StageCacheDecoder, ScoresWithMismatchedLengthsMiss)

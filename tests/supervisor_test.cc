@@ -453,7 +453,8 @@ TEST(SupervisorIsolate, CrashedChildIsRetriedPerPolicy)
     options.isolate = true;
     options.retry = fastRetry(3);
     // Crash until the marker file exists, then succeed: models a
-    // transient crash that a retry (with journaled progress) survives.
+    // transient crash that a retry (with progress kept in the stage
+    // cache) survives.
     const std::string script = "if [ -e " + dir + "/marker ]; then exit 0; "
                                "else touch " + dir + "/marker; "
                                "kill -ABRT $$; fi";

@@ -14,15 +14,16 @@
  * resolution order: defaults -> BF_* environment -> preset -> spec file
  * -> flags; malformed values fail with the offending source named.
  *
- * Resilience flags (core/supervisor.hh): --resume=DIR checkpoints
- * collection progress and skips completed work on rerun, --isolate runs
- * each experiment as a subprocess so a crash cannot take down --all,
- * --keep-going continues past failures, --timeout=SECS bounds each
- * experiment (enforced under --isolate), --retries=N retries transient
- * failures with deterministic seeded backoff, --manifest=PATH writes the
- * suite manifest (defaults to <json-dir>/suite-manifest.json). SIGINT /
- * SIGTERM stop the suite gracefully: the partial manifest is flushed and
- * the exit status is 130.
+ * Resilience flags (core/supervisor.hh): --cache-dir=DIR persists every
+ * stage's output, collection chunks included, so a rerun resumes where
+ * a killed run stopped; --isolate runs each experiment as a subprocess
+ * so a crash cannot take down --all, --keep-going continues past
+ * failures, --timeout=SECS bounds each experiment (enforced under
+ * --isolate), --retries=N retries transient failures with deterministic
+ * seeded backoff, --manifest=PATH writes the suite manifest (defaults to
+ * <json-dir>/suite-manifest.json). SIGINT / SIGTERM stop the suite
+ * gracefully: the partial manifest is flushed and the exit status is
+ * 130.
  *
  * Exit status: 0 success, 1 a run failed, 2 usage error, 130 interrupted.
  */
@@ -38,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -120,16 +122,15 @@ printUsage()
         "                     (see `bigfish describe <experiment>`)\n"
         "\n"
         "resilience flags:\n"
-        "  --resume=DIR       checkpoint collection progress in DIR and\n"
-        "                     skip already-completed work on rerun\n"
         "  --cache-dir=DIR    content-addressed stage cache in DIR:\n"
-        "                     featurized datasets, trained fold models\n"
-        "                     and fold scores. A rerun reuses every "
-        "stage\n"
-        "                     whose input fingerprint is unchanged "
-        "(e.g.\n"
-        "                     an eval-only change skips collection AND\n"
-        "                     training), bit-identically\n"
+        "                     collection chunks, featurized datasets,\n"
+        "                     trained fold models and fold scores. A\n"
+        "                     rerun reuses every stage whose input\n"
+        "                     fingerprint is unchanged (e.g. an "
+        "eval-only\n"
+        "                     change skips collection AND training),\n"
+        "                     bit-identically, and a killed run resumes\n"
+        "                     from the chunks it committed\n"
         "  --isolate          run each experiment as a subprocess; a\n"
         "                     crash is contained, not fatal to --all\n"
         "  --keep-going       keep running later experiments after a "
@@ -202,7 +203,6 @@ struct RunOptions
     std::string specPath;
     std::string jsonPath;
     std::string jsonDir;
-    std::string resumeDir;
     std::string cacheDir;
     std::string manifestPath;
     std::vector<std::pair<std::string, std::string>> flags;
@@ -302,14 +302,10 @@ cmdRun(const core::ExperimentRegistry &registry,
             options.jsonPath = value;
         } else if (key == "json-dir") {
             options.jsonDir = value;
-        } else if (key == "resume") {
+        } else if (key == "cache-dir") {
             // Kept both as a CLI option (directory creation, child
             // forwarding) and as a spec parameter (the pipeline reads
             // it from the resolved scale).
-            options.resumeDir = value;
-            options.flags.emplace_back("resume", value);
-        } else if (key == "cache-dir") {
-            // Same dual treatment as --resume.
             options.cacheDir = value;
             options.flags.emplace_back("cache-dir", value);
         } else if (key == "explain" && value.empty()) {
@@ -386,7 +382,7 @@ cmdRun(const core::ExperimentRegistry &registry,
     // Create output directories up front so a missing --json-dir fails
     // before hours of collection, not after.
     for (const std::string &dir :
-         {options.jsonDir, options.resumeDir, options.cacheDir}) {
+         {options.jsonDir, options.cacheDir}) {
         if (dir.empty())
             continue;
         const Status made = createDirectories(dir);
@@ -475,6 +471,10 @@ cmdRun(const core::ExperimentRegistry &registry,
             return artifact.status();
         artifact.value().setWallSeconds(wall.seconds());
         artifact.value().setCpuSeconds(cpu.seconds());
+        struct rusage usage = {};
+        if (::getrusage(RUSAGE_SELF, &usage) == 0) // ru_maxrss is in KiB
+            artifact.value().setPeakRssMb(
+                static_cast<double>(usage.ru_maxrss) / 1024.0);
         if (options.explain) {
             std::printf("\nstage graph (fingerprints + cache "
                         "provenance):\n%s",

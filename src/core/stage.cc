@@ -84,8 +84,7 @@ StageGraph::after(std::size_t first, std::size_t then)
 }
 
 void
-StageGraph::charge(std::size_t id, double start, double cpu_start,
-                   std::optional<StageCacheState> state)
+StageGraph::charge(std::size_t id, double start, double cpu_start)
 {
     const double cpu = threadCpuSeconds() - cpu_start;
     const double end = stageClockSeconds();
@@ -101,8 +100,8 @@ StageGraph::charge(std::size_t id, double start, double cpu_start,
     }
     report.cpuSeconds += cpu;
     report.wallSeconds = report.endSeconds - report.startSeconds;
-    if (state)
-        report.cache = *state;
+    if (report.cache == StageCacheState::Skipped)
+        report.cache = StageCacheState::Uncached;
 }
 
 void

@@ -20,6 +20,7 @@
 #include "base/stopwatch.hh"
 #include "base/table.hh"
 #include "experiments.hh"
+#include "sim/scratch.hh"
 #include "stats/descriptive.hh"
 
 namespace bigfish::bench {
@@ -122,10 +123,11 @@ run(const core::RunContext &ctx)
     for (SiteId id = 0; id < catalog.size(); ++id) {
         for (int run_index = 0; run_index < scale.tracesPerSite;
              ++run_index) {
-            const auto timeline =
+            auto timeline =
                 collector.synthesizeTimeline(catalog.site(id), run_index);
             auto gap = attack::collectGapTrace(timeline,
                                                config.effectivePeriod());
+            sim::giveBack(timeline);
             if (!gap.isOk())
                 return gap.status();
             attack::Trace t = std::move(gap).value();

@@ -16,6 +16,7 @@
 
 #include "experiments.hh"
 #include "ktrace/attribution.hh"
+#include "sim/scratch.hh"
 #include "stats/descriptive.hh"
 #include "web/catalog.hh"
 
@@ -63,11 +64,11 @@ run(const core::RunContext &ctx)
         std::vector<std::vector<double>> softirq_runs, resched_runs,
             total_runs;
         for (int run_index = 0; run_index < runs; ++run_index) {
-            const auto timeline =
-                collector.synthesizeTimeline(site, run_index);
+            auto timeline = collector.synthesizeTimeline(site, run_index);
             const auto records = ktrace::KernelTracer().record(timeline);
             const auto profile = ktrace::KernelTracer::profile(
                 records, timeline.duration);
+            sim::giveBack(timeline);
             softirq_runs.push_back(profile.softirqFraction);
             resched_runs.push_back(profile.reschedFraction);
             total_runs.push_back(profile.totalFraction);

@@ -15,6 +15,7 @@
 
 #include "experiments.hh"
 #include "ktrace/attribution.hh"
+#include "sim/scratch.hh"
 #include "stats/descriptive.hh"
 #include "stats/histogram.hh"
 #include "web/catalog.hh"
@@ -44,11 +45,11 @@ run(const core::RunContext &ctx)
     std::vector<ktrace::AttributedGap> all_gaps;
     for (int load = 0; load < loads; ++load) {
         const auto &site = catalog.site(load % 10);
-        const auto timeline =
-            collector.synthesizeTimeline(site, 1000 + load);
+        auto timeline = collector.synthesizeTimeline(site, 1000 + load);
         const auto gaps = ktrace::attributeGaps(
             ktrace::GapDetector().detect(timeline),
             ktrace::KernelTracer().record(timeline));
+        sim::giveBack(timeline);
         all_gaps.insert(all_gaps.end(), gaps.begin(), gaps.end());
     }
 

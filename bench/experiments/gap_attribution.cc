@@ -12,6 +12,7 @@
 
 #include "experiments.hh"
 #include "ktrace/attribution.hh"
+#include "sim/scratch.hh"
 #include "web/catalog.hh"
 
 namespace bigfish::bench {
@@ -40,12 +41,12 @@ run(const core::RunContext &ctx)
     std::size_t total_gaps = 0, attributed = 0;
     for (const auto &site : web::SiteCatalog::exampleSites()) {
         for (int run_index = 0; run_index < runs; ++run_index) {
-            const auto timeline =
-                collector.synthesizeTimeline(site, run_index);
+            auto timeline = collector.synthesizeTimeline(site, run_index);
             const auto records = ktrace::KernelTracer().record(timeline);
             const auto gap_report =
                 ktrace::summarize(ktrace::attributeGaps(
                     ktrace::GapDetector().detect(timeline), records));
+            sim::giveBack(timeline);
             total_gaps += gap_report.totalGaps;
             attributed += gap_report.attributedToInterrupt;
         }

@@ -39,7 +39,12 @@
 #               every featurized entry must carry the v2 header, and a
 #               featurized entry rewritten to a v1 header must warn
 #               once, be stored again and still give an artifact
-#               identical to a fresh run.
+#               identical to a fresh run. A cold --threads=1 fill must
+#               write collect and featurized entries byte-identical to
+#               the --threads=2 fill, and after half its collect chunks
+#               and every featurized entry are deleted, a rerun must
+#               replay the other half and rewrite every featurized entry
+#               byte for byte.
 #   sim-perf  — the simulator perf-counter gate (DESIGN.md §13): the
 #               test_sim_perf determinism suite, then a table1 smoke
 #               whose --explain table and schemaVersion-3 artifact must
@@ -412,6 +417,54 @@ for stage in "${stages[@]}"; do
                  "fresh run" >&2
             exit 1
         fi
+        echo "== [stage-cache] a --threads=1 fill writes the same" \
+             "collect and featurized bytes as the --threads=2 fill"
+        "$builddir/bigfish" run table1_fingerprinting --smoke --threads=1 \
+            --folds=3 --cache-dir="$cdir/cache1" \
+            --json="$cdir/cold-t1.json" > /dev/null
+        for kind in collect featurized; do
+            (cd "$cdir/cache" && ls "$kind"-*.bfc) > "$cdir/$kind.t2"
+            (cd "$cdir/cache1" && ls "$kind"-*.bfc) > "$cdir/$kind.t1"
+            [ -s "$cdir/$kind.t1" ] ||
+                { echo "the --threads=1 fill wrote no $kind entry" >&2; exit 1; }
+            diff "$cdir/$kind.t2" "$cdir/$kind.t1" ||
+                { echo "$kind entries differ between thread counts" >&2; exit 1; }
+            while read -r name; do
+                cmp "$cdir/cache/$name" "$cdir/cache1/$name" ||
+                    { echo "$kind entry $name differs" >&2; exit 1; }
+            done < "$cdir/$kind.t1"
+        done
+        echo "== [stage-cache] half the chunks and every featurized entry" \
+             "lost: the rerun rewrites the featurized bytes"
+        mkdir "$cdir/featurized-t1"
+        cp "$cdir"/cache1/featurized-*.bfc "$cdir/featurized-t1/"
+        chunks="$(wc -l < "$cdir/collect.t1")"
+        lost=0
+        while read -r name; do
+            lost=$((lost + 1))
+            if [ $((lost % 2)) -eq 1 ]; then
+                rm "$cdir/cache1/$name"
+            fi
+        done < "$cdir/collect.t1"
+        rm "$cdir"/cache1/featurized-*.bfc
+        "$builddir/bigfish" run table1_fingerprinting --smoke --threads=2 \
+            --folds=3 --cache-dir="$cdir/cache1" \
+            --json="$cdir/rerun-t1.json" > "$cdir/rerun.log"
+        replayed="$(grep -o 'replayed [0-9]* of [0-9]* collection chunks' \
+            "$cdir/rerun.log" | awk '{ r += $2; n += $4 } END { print r "/" n }')"
+        if [ "$replayed" != "$((chunks / 2))/$chunks" ]; then
+            echo "rerun replayed $replayed chunks, want $((chunks / 2))/$chunks" >&2
+            exit 1
+        fi
+        while read -r name; do
+            cmp "$cdir/featurized-t1/$name" "$cdir/cache1/$name" ||
+                { echo "featurized entry $name was not rewritten" \
+                       "byte for byte" >&2; exit 1; }
+        done < "$cdir/featurized.t1"
+        while read -r name; do
+            cmp "$cdir/cache/$name" "$cdir/cache1/$name" ||
+                { echo "collect entry $name was not restored" >&2; exit 1; }
+        done < "$cdir/collect.t1"
         echo "== [stage-cache] cached reuse is provenance-clean and" \
              "bit-identical"
         ;;

@@ -29,13 +29,44 @@ TraceSet::numClasses() const
     return max_label + 1;
 }
 
+std::vector<double>
+Trace::meanFeatures(std::size_t featureLen) const
+{
+    return stats::downsample(normalized(), featureLen);
+}
+
+std::vector<double>
+Trace::dipFeatures(std::size_t featureLen) const
+{
+    // Pair-sum adjacent periods first: consecutive measurement windows
+    // tile time, so summing pairs cancels the shared boundary's
+    // timer-jitter noise (a coarse-resolution fuzzed timer like
+    // Firefox's 1 ms clamp adds +-A to each boundary but interior
+    // boundaries telescope away in sums). The dip signal — a softirq
+    // storm depressing a few consecutive periods — survives the pairing.
+    std::vector<double> paired;
+    if (counts.size() >= 8) {
+        paired.reserve(counts.size() / 2);
+        for (std::size_t i = 0; i + 1 < counts.size(); i += 2)
+            paired.push_back(counts[i] + counts[i + 1]);
+    } else {
+        paired = counts;
+    }
+    const auto norm = stats::normalizeByMax(paired);
+    auto mean_ds = stats::downsample(norm, featureLen);
+    const auto min_ds = stats::downsampleMin(norm, featureLen);
+    for (std::size_t i = 0; i < featureLen; ++i)
+        mean_ds[i] -= min_ds[i];
+    return mean_ds;
+}
+
 std::vector<std::vector<double>>
 TraceSet::toFeatures(std::size_t featureLen) const
 {
     std::vector<std::vector<double>> features;
     features.reserve(traces.size());
     for (const Trace &t : traces)
-        features.push_back(stats::downsample(t.normalized(), featureLen));
+        features.push_back(t.meanFeatures(featureLen));
     return features;
 }
 
@@ -44,29 +75,8 @@ TraceSet::toDipFeatures(std::size_t featureLen) const
 {
     std::vector<std::vector<double>> features;
     features.reserve(traces.size());
-    for (const Trace &t : traces) {
-        // Pair-sum adjacent periods first: consecutive measurement
-        // windows tile time, so summing pairs cancels the shared
-        // boundary's timer-jitter noise (a coarse-resolution fuzzed
-        // timer like Firefox's 1 ms clamp adds +-A to each boundary but
-        // interior boundaries telescope away in sums). The dip signal —
-        // a softirq storm depressing a few consecutive periods —
-        // survives the pairing.
-        std::vector<double> paired;
-        if (t.counts.size() >= 8) {
-            paired.reserve(t.counts.size() / 2);
-            for (std::size_t i = 0; i + 1 < t.counts.size(); i += 2)
-                paired.push_back(t.counts[i] + t.counts[i + 1]);
-        } else {
-            paired = t.counts;
-        }
-        const auto norm = stats::normalizeByMax(paired);
-        auto mean_ds = stats::downsample(norm, featureLen);
-        const auto min_ds = stats::downsampleMin(norm, featureLen);
-        for (std::size_t i = 0; i < featureLen; ++i)
-            mean_ds[i] -= min_ds[i];
-        features.push_back(std::move(mean_ds));
-    }
+    for (const Trace &t : traces)
+        features.push_back(t.dipFeatures(featureLen));
     return features;
 }
 

@@ -36,6 +36,23 @@ struct Trace
 
     /** counts normalized by the maximum (Figures 3-4). */
     std::vector<double> normalized() const;
+
+    /**
+     * Fixed-length features: the trace normalized by its own maximum
+     * and resampled (bucket averages, or linear interpolation when
+     * shorter) to @p featureLen buckets.
+     */
+    std::vector<double> meanFeatures(std::size_t featureLen) const;
+
+    /**
+     * Per-bucket dip-depth companion to meanFeatures(): bucket mean
+     * minus bucket minimum of the normalized trace. This channel carries
+     * the sub-bucket interrupt texture (a single softirq storm inside
+     * one bucket) that plain bucket averages smooth away; it is zero by
+     * construction when the timer is so coarse that each bucket holds
+     * at most one measurement period.
+     */
+    std::vector<double> dipFeatures(std::size_t featureLen) const;
 };
 
 /** A labeled collection of traces. */
@@ -49,21 +66,10 @@ struct TraceSet
     /** Number of distinct labels (max label + 1). */
     int numClasses() const;
 
-    /**
-     * Converts to fixed-length feature vectors: each trace is normalized
-     * by its own maximum and resampled (bucket averages, or linear
-     * interpolation when shorter) to @p featureLen buckets.
-     */
+    /** Trace::meanFeatures() of every trace. */
     std::vector<std::vector<double>> toFeatures(std::size_t featureLen) const;
 
-    /**
-     * Per-bucket dip-depth companion to toFeatures(): bucket mean minus
-     * bucket minimum of the normalized trace. This channel carries the
-     * sub-bucket interrupt texture (a single softirq storm inside one
-     * bucket) that plain bucket averages smooth away; it is zero by
-     * construction when the timer is so coarse that each bucket holds at
-     * most one measurement period.
-     */
+    /** Trace::dipFeatures() of every trace. */
     std::vector<std::vector<double>>
     toDipFeatures(std::size_t featureLen) const;
 

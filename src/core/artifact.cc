@@ -206,7 +206,8 @@ RunArtifact::explainText() const
            formatDouble("%.3f", cpuSeconds_) + " s, threads " +
            std::to_string(threads_) + ", utilization " +
            formatDouble("%.3f", utilization()) + ", peak RSS " +
-           formatDouble("%.1f", peakRssMb_) + " MB\n";
+           formatDouble("%.1f", peakRssMb_) + " MB, minor faults " +
+           std::to_string(minorFaults_) + "\n";
 }
 
 std::string
@@ -238,12 +239,13 @@ RunArtifact::toJson() const
            std::to_string(collectedTraces_) +
            ", \"dropped\": " + std::to_string(droppedTraces_) + "},\n";
     // The run's timing and footprint share one line, so the Seconds-line
-    // convention filters utilization and peak RSS out of bit-for-bit
-    // artifact diffs too.
+    // convention filters utilization, peak RSS and page faults out of
+    // bit-for-bit artifact diffs too.
     out += "  \"wallSeconds\": " + formatDouble("%.3f", wallSeconds_) +
            ", \"cpuSeconds\": " + formatDouble("%.3f", cpuSeconds_) +
            ", \"utilization\": " + formatDouble("%.3f", utilization()) +
-           ", \"peakRssMb\": " + formatDouble("%.1f", peakRssMb_) + ",\n";
+           ", \"peakRssMb\": " + formatDouble("%.1f", peakRssMb_) +
+           ", \"minorFaults\": " + std::to_string(minorFaults_) + ",\n";
     out += "  \"phases\": {\"collectCpuSeconds\": " +
            formatDouble("%.3f", collectCpuSeconds()) +
            ", \"collectWallSeconds\": " +

@@ -86,6 +86,10 @@ class RunArtifact
     void setThreads(int threads) { threads_ = threads; }
     /** Peak resident set size of the process that ran it, in MB. */
     void setPeakRssMb(double megabytes) { peakRssMb_ = megabytes; }
+    /** Minor page faults of the process that ran it (getrusage
+     *  ru_minflt): each is a page first touched, so a run that keeps
+     *  reallocating large buffers shows up here. */
+    void setMinorFaults(long long faults) { minorFaults_ = faults; }
     void setSeedProvenance(SeedProvenance provenance);
     void setExpected(std::vector<ExpectedValue> expected);
 
@@ -117,6 +121,7 @@ class RunArtifact
     double cpuSeconds() const { return cpuSeconds_; }
     int threads() const { return threads_; }
     double peakRssMb() const { return peakRssMb_; }
+    long long minorFaults() const { return minorFaults_; }
     /** cpu / (wall x threads): how busy the run kept its threads; 0
      *  until wall, CPU and threads are all known. */
     double utilization() const;
@@ -185,6 +190,7 @@ class RunArtifact
     double cpuSeconds_ = 0.0;
     int threads_ = 0;
     double peakRssMb_ = 0.0;
+    long long minorFaults_ = 0;
     std::size_t collectedTraces_ = 0;
     std::size_t droppedTraces_ = 0;
 };

@@ -8,6 +8,7 @@
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "core/checkpoint.hh"
+#include "sim/scratch.hh"
 
 namespace bigfish::core {
 
@@ -353,15 +354,17 @@ TraceCollector::collectOne(const web::SiteSignature &site,
         return Status(invalidArgumentError(
             "collection period must be positive (browser default and "
             "override are both unset)"));
-    const sim::RunTimeline timeline = synthesizeTimeline(site, run_index);
+    sim::RunTimeline timeline = synthesizeTimeline(site, run_index);
     const auto timer_seed =
         mix64(config_.seed ^ 0x71e4aeedULL) ^
         mix64(static_cast<std::uint64_t>(site.id) * 7919ULL +
               static_cast<std::uint64_t>(run_index));
     const sim::FaultPlan plan(config_.faults,
                               faultSalt(site.id, run_index));
-    return collectForAttacker(config_.attacker, site, run_index, timeline,
-                              plan, timer_seed);
+    Result<attack::Trace> trace = collectForAttacker(
+        config_.attacker, site, run_index, timeline, plan, timer_seed);
+    sim::giveBack(timeline);
+    return trace;
 }
 
 std::vector<Result<attack::Trace>>
@@ -383,8 +386,7 @@ TraceCollector::collectOneMulti(
     // synthesis, browser runtime, fault plan, timer seed — depends only
     // on (config seed, site, run). Synthesize once and run each attacker
     // over the shared ground truth with its own freshly seeded timer.
-    const sim::RunTimeline timeline =
-        synthesizeTimeline(site, run_index, perf);
+    sim::RunTimeline timeline = synthesizeTimeline(site, run_index, perf);
     const auto timer_seed =
         mix64(config_.seed ^ 0x71e4aeedULL) ^
         mix64(static_cast<std::uint64_t>(site.id) * 7919ULL +
@@ -394,6 +396,9 @@ TraceCollector::collectOneMulti(
     for (attack::AttackerKind attacker : attackers)
         out.push_back(collectForAttacker(attacker, site, run_index,
                                          timeline, plan, timer_seed, perf));
+    // The last attacker is done: the interval buffer goes back to this
+    // worker's arena for its next cell.
+    sim::giveBack(timeline);
     return out;
 }
 
@@ -405,6 +410,33 @@ TraceCollector::collectCell(
     CollectedCell cell;
     cell.traces = collectOneMulti(site, run_index, attackers, &cell.perf);
     return cell;
+}
+
+bool
+tallyOutcome(const Status &outcome, CollectionStats &stats)
+{
+    ++stats.attempted;
+    if (!outcome.isOk()) {
+        ++stats.dropped;
+        warnOnce("collector/dropped-trace",
+                 "dropping unusable trace(s); first: " + outcome.toString());
+        return false;
+    }
+    ++stats.collected;
+    return true;
+}
+
+Status
+requireCollected(std::span<const CollectionStats> stats, const char *world)
+{
+    for (const CollectionStats &attacker : stats) {
+        if (attacker.collected == 0)
+            return exhaustedError(std::string(world) +
+                                  " collection dropped all " +
+                                  std::to_string(attacker.attempted) +
+                                  " traces");
+    }
+    return Status::ok();
 }
 
 Result<std::vector<attack::TraceSet>>
@@ -421,15 +453,8 @@ assembleSweep(std::vector<CollectedCell> &cells, std::size_t attackers,
         if (perf != nullptr)
             *perf += cell.perf;
         for (std::size_t a = 0; a < attackers; ++a) {
-            ++local[a].attempted;
-            if (!cell.traces[a].isOk()) {
-                ++local[a].dropped;
-                warnOnce("collector/dropped-trace",
-                         "dropping unusable trace(s); first: " +
-                             cell.traces[a].status().toString());
+            if (!tallyOutcome(cell.traces[a].status(), local[a]))
                 continue;
-            }
-            ++local[a].collected;
             if (relabel)
                 cell.traces[a].value().label = *relabel;
             sets[a].add(std::move(cell.traces[a].value()));
@@ -437,12 +462,8 @@ assembleSweep(std::vector<CollectedCell> &cells, std::size_t attackers,
     }
     if (stats != nullptr)
         *stats = local;
-    for (std::size_t a = 0; a < attackers; ++a) {
-        if (require_traces && sets[a].traces.empty())
-            return Status(exhaustedError(
-                std::string(world) + " collection dropped all " +
-                std::to_string(local[a].attempted) + " traces"));
-    }
+    if (require_traces)
+        BF_RETURN_IF_ERROR(requireCollected(local, world));
     return sets;
 }
 

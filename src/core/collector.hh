@@ -109,6 +109,19 @@ struct CollectedCell
 };
 
 /**
+ * Accounts one attacker's outcome for one sweep cell into @p stats: an
+ * attempt, then a collection, or a drop that warns (once per process).
+ * Every sweep's serial accounting pass walks its cells through this.
+ * @return Whether the attacker's trace is usable.
+ */
+bool tallyOutcome(const Status &outcome, CollectionStats &stats);
+
+/** Fails when an attacker of a sweep kept no trace at all: "<@p world>
+ *  collection dropped all N traces", for the first such attacker. */
+[[nodiscard]] Status requireCollected(std::span<const CollectionStats> stats,
+                                      const char *world);
+
+/**
  * The serial accounting pass every sweep ends with: walks @p cells in
  * order, sums their perf counters into @p perf (optional), and moves
  * each attacker's usable traces into that attacker's set — relabelled
@@ -144,6 +157,11 @@ class TraceCollector
      * the attacker measured. Timeline-level faults (dropped/duplicated
      * interrupts, stalls) are already applied, so observers and the
      * attacker keep sharing one ground truth under injected faults.
+     *
+     * The timeline holds this thread's lent interval buffer
+     * (InterruptSynthesizer::synthesize()): pass it to sim::giveBack()
+     * once its last reader is done, so the next synthesis on this
+     * thread reuses the buffer instead of allocating one.
      *
      * @param perf When non-null, accumulates simulator work counters
      *             (sim/perf.hh) for this synthesis.

@@ -15,15 +15,10 @@
 
 namespace bigfish::core {
 
-ml::Dataset
-toDataset(const attack::TraceSet &traces, std::size_t feature_len,
-          int num_classes)
+std::vector<double>
+featureRow(const attack::Trace &trace, std::size_t feature_len)
 {
-    ml::Dataset data;
-    const auto means = traces.toFeatures(feature_len);
-    const auto dips = traces.toDipFeatures(feature_len);
-    const auto labels = traces.labels();
-    // Two channels per trace, concatenated channel-major:
+    // Two channels, concatenated channel-major:
     //   channel 0 — bucket means, winsorized (so single preemption-eaten
     //   periods cannot compress the trace's dynamic range) and
     //   standardized (counter values sit in a narrow band near their
@@ -31,14 +26,22 @@ toDataset(const attack::TraceSet &traces, std::size_t feature_len,
     //   classifier train efficiently);
     //   channel 1 — sub-bucket dip depth, the fine-timescale interrupt
     //   texture that bucket averages smooth away.
-    data.features.reserve(means.size());
-    data.labels.reserve(means.size());
-    for (std::size_t i = 0; i < means.size(); ++i) {
-        std::vector<double> x = stats::zscore(stats::winsorize(means[i]));
-        const auto dip = stats::zscore(dips[i]);
-        x.insert(x.end(), dip.begin(), dip.end());
-        data.add(std::move(x), labels[i]);
-    }
+    std::vector<double> x =
+        stats::zscore(stats::winsorize(trace.meanFeatures(feature_len)));
+    const auto dip = stats::zscore(trace.dipFeatures(feature_len));
+    x.insert(x.end(), dip.begin(), dip.end());
+    return x;
+}
+
+ml::Dataset
+toDataset(const attack::TraceSet &traces, std::size_t feature_len,
+          int num_classes)
+{
+    ml::Dataset data;
+    data.features.reserve(traces.size());
+    data.labels.reserve(traces.size());
+    for (const attack::Trace &trace : traces.traces)
+        data.add(featureRow(trace, feature_len), trace.label);
     data.numClasses = std::max(data.numClasses, num_classes);
     return data;
 }
@@ -46,14 +49,13 @@ toDataset(const attack::TraceSet &traces, std::size_t feature_len,
 namespace {
 
 /**
- * Distinct labels present in a (possibly fault-degraded) trace set —
+ * Distinct labels present in a (possibly fault-degraded) dataset —
  * dropping traces can silently empty out whole classes, which would
  * make the k-fold split degenerate.
  */
 int
-distinctLabels(const attack::TraceSet &traces)
+distinctLabels(std::vector<Label> labels)
 {
-    std::vector<Label> labels = traces.labels();
     std::sort(labels.begin(), labels.end());
     labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
     return static_cast<int>(labels.size());
@@ -76,11 +78,75 @@ hexDouble(double v)
     return buf;
 }
 
-/** Everything the shared collection sweep produces, per attacker. */
+/** One trace's dataset row and label. */
+struct LabeledRow
+{
+    std::vector<double> x;
+    Label label = 0;
+};
+
+/** A collection cell once featurized: per attacker, its trace's row or
+ *  why the trace was dropped, plus the simulator work the cell cost. */
+struct RowCell
+{
+    std::vector<Result<LabeledRow>> rows;
+    sim::PerfCounters perf;
+};
+
+/** featureRow() of every usable trace of @p cell. */
+RowCell
+featurizeCell(const CollectedCell &cell, std::size_t feature_len)
+{
+    RowCell out;
+    out.perf = cell.perf;
+    out.rows.reserve(cell.traces.size());
+    for (const Result<attack::Trace> &trace : cell.traces) {
+        if (trace.isOk())
+            out.rows.emplace_back(LabeledRow{
+                featureRow(trace.value(), feature_len), trace.value().label});
+        else
+            out.rows.emplace_back(trace.status());
+    }
+    return out;
+}
+
+/**
+ * assembleSweep() for featurized cells: the same serial accounting
+ * (tallyOutcome(), then requireCollected()), but it gathers each
+ * attacker's usable rows, in cell order and relabelled @p relabel when
+ * set, into one dataset per attacker. The cells' rows are moved out.
+ */
+Result<std::vector<ml::Dataset>>
+assembleRows(std::vector<RowCell> &cells, std::size_t attackers,
+             std::optional<Label> relabel, const char *world,
+             std::vector<CollectionStats> &stats, sim::PerfCounters &perf)
+{
+    stats.assign(attackers, CollectionStats{});
+    std::vector<ml::Dataset> sets(attackers);
+    for (ml::Dataset &set : sets) {
+        set.features.reserve(cells.size());
+        set.labels.reserve(cells.size());
+    }
+    for (RowCell &cell : cells) {
+        perf += cell.perf;
+        for (std::size_t a = 0; a < attackers; ++a) {
+            Result<LabeledRow> &row = cell.rows[a];
+            if (!tallyOutcome(row.status(), stats[a]))
+                continue;
+            sets[a].add(std::move(row.value().x),
+                        relabel ? *relabel : row.value().label);
+        }
+    }
+    BF_RETURN_IF_ERROR(requireCollected(stats, world));
+    return sets;
+}
+
+/** Everything the shared collection sweep produces, per attacker: each
+ *  world's featurized rows in cell order, and its accounting. */
 struct CollectOutput
 {
-    std::vector<attack::TraceSet> closed;
-    std::vector<attack::TraceSet> openExtra;
+    std::vector<ml::Dataset> closed;
+    std::vector<ml::Dataset> openExtra;
     std::vector<CollectionStats> closedStats;
     std::vector<CollectionStats> openStats;
 };
@@ -94,7 +160,7 @@ struct WorldStages
     std::size_t aggregate = 0;
 };
 
-/** Canonical featurization text — any change to what toDataset()
+/** Canonical featurization text — any change to what featureRow()
  *  produces must bump the format line. */
 std::string
 featurizeCanon(const PipelineConfig &pipeline, attack::AttackerKind kind)
@@ -110,20 +176,22 @@ featurizeCanon(const PipelineConfig &pipeline, attack::AttackerKind kind)
 
 /**
  * The Featurize stage body for one attacker: degraded-collection
- * checks, then toDataset() for the closed world and (when enabled) the
- * merged open world, with trace accounting.
+ * checks, then the closed world's dataset and (when enabled) the
+ * merged open world's, with trace accounting. The rows themselves were
+ * featurized cell by cell as collection landed them; attacker @p a's
+ * are moved out of @p collected.
  */
 Result<FeaturizedEntry>
-featurizeStageBody(const CollectOutput &collected, std::size_t a,
+featurizeStageBody(CollectOutput &collected, std::size_t a,
                    const PipelineConfig &pipeline)
 {
-    const attack::TraceSet &closed = collected.closed[a];
+    ml::Dataset &closed = collected.closed[a];
     const CollectionStats &closed_stats = collected.closedStats[a];
 
     // Dropped traces must leave enough data for the evaluation
     // protocol to be meaningful; otherwise fail recoverably rather
     // than letting the CV machinery hit its own preconditions.
-    if (distinctLabels(closed) < 2)
+    if (distinctLabels(closed.labels) < 2)
         return Status(exhaustedError(
             "degraded collection left fewer than two closed-world "
             "classes (" + std::to_string(closed_stats.dropped) + " of " +
@@ -137,29 +205,30 @@ featurizeStageBody(const CollectOutput &collected, std::size_t a,
     FeaturizedEntry entry;
     entry.droppedTraces = closed_stats.dropped;
     entry.collectedTraces = closed_stats.collected;
-    entry.closedWorld =
-        toDataset(closed, pipeline.featureLen, pipeline.numSites);
-
     entry.hasOpenWorld = pipeline.openWorldExtra > 0;
     if (entry.hasOpenWorld) {
-        // The paper's open world: closed-world traces keep their site
-        // labels ("sensitive"); one extra class holds all one-off
-        // "non-sensitive" traces.
+        // The paper's open world: the closed world's rows keep their
+        // site labels ("sensitive"), copied rather than featurized
+        // again; one extra class holds all one-off "non-sensitive"
+        // traces. Row for row, this is toDataset() of the merged set.
         entry.droppedTraces += collected.openStats[a].dropped;
         entry.collectedTraces += collected.openStats[a].collected;
-        attack::TraceSet open = closed;
-        open.traces.reserve(closed.size() +
-                            collected.openExtra[a].traces.size());
-        for (const auto &trace : collected.openExtra[a].traces)
-            open.add(trace);
-        entry.openWorld =
-            toDataset(open, pipeline.featureLen, pipeline.numSites + 1);
+        ml::Dataset &extra = collected.openExtra[a];
+        entry.openWorld = closed;
+        for (std::size_t i = 0; i < extra.size(); ++i)
+            entry.openWorld.add(std::move(extra.features[i]),
+                                extra.labels[i]);
+        entry.openWorld.numClasses =
+            std::max(entry.openWorld.numClasses, pipeline.numSites + 1);
     }
+    closed.numClasses = std::max(closed.numClasses, pipeline.numSites);
+    entry.closedWorld = std::move(closed);
     return entry;
 }
 
 // Executor priorities (higher runs first). Featurization first: it is
-// what frees a job's raw traces. Split and aggregate are cheap and
+// what frees raw traces and rows (a replayed chunk's decoded traces, a
+// job's assembled rows). Split and aggregate are cheap and
 // unlock or release work. Collection chunks next, longest expected job
 // first (trace duration x traces, so Tor starts first), then folds,
 // open world first. The tail of a run is then short fold tasks. Cache
@@ -182,7 +251,7 @@ struct WorldRun
     ml::EvalResult result;
 };
 
-/** A job's raw collection: alive from its Collect stage until its
+/** A job's collection state: alive from its Collect stage until its
  *  Featurize stages finish. */
 struct CollectRun
 {
@@ -195,9 +264,14 @@ struct CollectRun
 
     web::SiteCatalog catalog;
     TraceCollector collector;
-    /** One pre-sized slot per (site, run) cell, then per open trace. */
-    std::vector<CollectedCell> closedCells;
-    std::vector<CollectedCell> openCells;
+    /** One pre-sized slot per (site, run) cell, then per open trace:
+     *  the cell's featurized rows. */
+    std::vector<RowCell> closedCells;
+    std::vector<RowCell> openCells;
+    /** With a cache only, slotted like the rows: each cell's raw
+     *  traces, held until its chunk is committed. */
+    std::vector<CollectedCell> closedRaw;
+    std::vector<CollectedCell> openRaw;
     /** Per collection chunk: cells still collecting; the last one
      *  stores the chunk. Replayed chunks start at zero. */
     std::unique_ptr<std::atomic<std::size_t>[]> chunkLeft;
@@ -205,7 +279,8 @@ struct CollectRun
     std::size_t chunks = 0;
     /** A chunk's cache commit failed. */
     std::atomic<bool> storeFailed{false};
-    /** Cells still collecting; the last one assembles `out`. */
+    /** Cells not yet featurized, plus one while startCollection() is
+     *  still fanning out; whoever takes it to zero assembles `out`. */
     std::atomic<std::size_t> cellsLeft{0};
     CollectOutput out;
 };
@@ -257,11 +332,12 @@ chunkOf(const PipelineConfig &pipeline, bool open, std::size_t index)
            index / static_cast<std::size_t>(pipeline.tracesPerSite);
 }
 
+/** The raw-trace slots of @p chunk (a cache is configured). */
 std::span<CollectedCell>
 chunkCells(CollectRun &raw, const Chunk &chunk)
 {
     std::vector<CollectedCell> &slots =
-        chunk.open ? raw.openCells : raw.closedCells;
+        chunk.open ? raw.openRaw : raw.closedRaw;
     return std::span(slots).subspan(chunk.begin, chunk.end - chunk.begin);
 }
 
@@ -370,10 +446,11 @@ declareWorld(StageGraph &graph, const PipelineConfig &pipeline,
 }
 
 /**
- * The last collection cell's follow-up: the serial accounting pass over
- * every cell slot (assembleSweep), exactly what the closed- and
- * open-world sweeps end with, then the Collect stage's provenance: hit
- * when every chunk replayed, else stored (or store-failed).
+ * The last featurized cell's follow-up: the serial accounting pass over
+ * every cell slot (assembleRows(), the featurized twin of the closed-
+ * and open-world sweeps' assembleSweep()), then the Collect stage's
+ * provenance: hit when every chunk replayed, else stored (or
+ * store-failed).
  */
 Status
 assembleCollection(Batch &batch, JobRun &run)
@@ -381,23 +458,25 @@ assembleCollection(Batch &batch, JobRun &run)
     CollectRun &raw = *run.raw;
     const std::size_t attackers = run.job->attackers.size();
     sim::PerfCounters perf;
-    Result<std::vector<attack::TraceSet>> closed =
-        assembleSweep(raw.closedCells, attackers, std::nullopt, true,
-                      "closed-world", &raw.out.closedStats, &perf);
+    Result<std::vector<ml::Dataset>> closed =
+        assembleRows(raw.closedCells, attackers, std::nullopt,
+                     "closed-world", raw.out.closedStats, perf);
     if (!closed.isOk())
         return closed.status();
     raw.out.closed = std::move(closed.value());
     raw.out.openStats.resize(attackers);
     if (batch.pipeline.openWorldExtra > 0) {
-        Result<std::vector<attack::TraceSet>> open =
-            assembleSweep(raw.openCells, attackers, batch.nonSensitive,
-                          true, "open-world", &raw.out.openStats, &perf);
+        Result<std::vector<ml::Dataset>> open =
+            assembleRows(raw.openCells, attackers, batch.nonSensitive,
+                         "open-world", raw.out.openStats, perf);
         if (!open.isOk())
             return open.status();
         raw.out.openExtra = std::move(open.value());
     }
     raw.closedCells = {};
     raw.openCells = {};
+    raw.closedRaw = {}; // every chunk is committed by now
+    raw.openRaw = {};
     batch.graph.setSimCounters(run.collect, perf);
     StageCacheState state = StageCacheState::Disabled;
     if (batch.graph.cache() != nullptr)
@@ -407,6 +486,17 @@ assembleCollection(Batch &batch, JobRun &run)
                     : StageCacheState::Stored;
     batch.graph.setCacheState(run.collect, state);
     return Status::ok();
+}
+
+/** Marks @p cells of @p run featurized; whoever marks the last one
+ *  assembles the collection. */
+Status
+cellsDone(Batch &batch, JobRun &run, std::size_t cells)
+{
+    if (run.raw->cellsLeft.fetch_sub(cells, std::memory_order_acq_rel) !=
+        cells)
+        return Status::ok();
+    return assembleCollection(batch, run);
 }
 
 /**
@@ -419,12 +509,17 @@ storeChunk(Batch &batch, JobRun &run, std::size_t index)
 {
     StageCache &cache = *batch.graph.cache();
     CollectRun &raw = *run.raw;
-    const Status stored =
-        cache.put(kCollectKind,
-                  chunkKey(batch.graph.fingerprint(run.collect),
-                           batch.pipeline, index),
-                  encodeCollectChunk(
-                      chunkCells(raw, chunkAt(batch.pipeline, index))));
+    const std::span<CollectedCell> cells =
+        chunkCells(raw, chunkAt(batch.pipeline, index));
+    const Status stored = cache.put(
+        kCollectKind,
+        chunkKey(batch.graph.fingerprint(run.collect), batch.pipeline,
+                 index),
+        encodeCollectChunk(cells));
+    // Committed or not, the chunk's raw traces are done with: their
+    // rows are already featurized.
+    for (CollectedCell &cell : cells)
+        cell = {};
     if (!stored.isOk()) {
         raw.storeFailed.store(true, std::memory_order_relaxed);
         warnOnce("pipeline/collect-chunk-store",
@@ -442,8 +537,9 @@ storeChunk(Batch &batch, JobRun &run, std::size_t index)
               " collection chunk entries (cache " + cache.dir() + ")");
 }
 
-/** Submits one collection cell of @p run as its own Collect task; the
- *  last cell of a chunk stores it, the last cell of all assembles. */
+/** Submits one collection cell of @p run as its own Collect task: it
+ *  collects and featurizes the cell; with a cache it keeps the raw
+ *  traces until the chunk's last cell stores the chunk. */
 void
 submitCell(Batch &batch, JobRun &run, bool open, std::size_t index)
 {
@@ -453,59 +549,83 @@ submitCell(Batch &batch, JobRun &run, bool open, std::size_t index)
             CollectRun &raw = *run.raw;
             const std::span<const attack::AttackerKind> attackers =
                 run.job->attackers;
-            if (open) {
-                raw.openCells[index] = raw.collector.collectCell(
-                    raw.catalog.openWorldSite(static_cast<int>(index)), 0,
-                    attackers);
-            } else {
-                const auto traces = static_cast<std::size_t>(
-                    batch.pipeline.tracesPerSite);
-                raw.closedCells[index] = raw.collector.collectCell(
-                    raw.catalog.site(static_cast<SiteId>(index / traces)),
-                    static_cast<int>(index % traces), attackers);
-            }
+            const auto traces =
+                static_cast<std::size_t>(batch.pipeline.tracesPerSite);
+            const auto site = static_cast<SiteId>(index / traces);
+            CollectedCell cell =
+                open ? raw.collector.collectCell(
+                           raw.catalog.openWorldSite(static_cast<int>(index)),
+                           0, attackers)
+                     : raw.collector.collectCell(
+                           raw.catalog.site(site),
+                           static_cast<int>(index % traces), attackers);
+            (open ? raw.openCells : raw.closedCells)[index] =
+                featurizeCell(cell, batch.pipeline.featureLen);
             if (batch.graph.cache() != nullptr) {
+                (open ? raw.openRaw : raw.closedRaw)[index] = std::move(cell);
                 const std::size_t chunk =
                     chunkOf(batch.pipeline, open, index);
                 if (raw.chunkLeft[chunk].fetch_sub(
                         1, std::memory_order_acq_rel) == 1)
                     storeChunk(batch, run, chunk);
             }
-            if (raw.cellsLeft.fetch_sub(1, std::memory_order_acq_rel) != 1)
-                return Status::ok();
-            return assembleCollection(batch, run);
+            return cellsDone(batch, run, 1);
+        });
+    });
+}
+
+/** Submits the featurization of replayed chunk @p index of @p run, whose
+ *  decoded @p cells the task frees once their rows are made. */
+void
+submitReplayed(Batch &batch, JobRun &run, std::size_t index,
+               std::vector<CollectedCell> cells)
+{
+    // The executor's work items are copyable, so the cells ride in a
+    // shared_ptr; the task empties it.
+    auto decoded =
+        std::make_shared<std::vector<CollectedCell>>(std::move(cells));
+    batch.graph.submit(run.collect, kFeaturizePriority,
+                       [&batch, &run, index, decoded] {
+        return batch.graph.charged(run.collect, [&]() -> Status {
+            CollectRun &raw = *run.raw;
+            const Chunk chunk = chunkAt(batch.pipeline, index);
+            std::vector<RowCell> &slots =
+                chunk.open ? raw.openCells : raw.closedCells;
+            const std::size_t count = decoded->size();
+            for (std::size_t i = 0; i < count; ++i)
+                slots[chunk.begin + i] =
+                    featurizeCell((*decoded)[i], batch.pipeline.featureLen);
+            *decoded = {};
+            return cellsDone(batch, run, count);
         });
     });
 }
 
 /**
- * Fills @p cells from the chunk entry under @p key. A CRC-intact entry
- * that does not decode to this chunk's shape is removed (dead weight,
- * like any undecodable stage entry) and misses.
+ * The chunk entry under @p key, decoded to @p cells cells. A CRC-intact
+ * entry that does not decode to this chunk's shape is removed (dead
+ * weight, like any undecodable stage entry) and misses.
  */
-bool
-replayChunk(StageCache &cache, std::uint64_t key,
-            std::span<CollectedCell> cells, std::size_t attackers)
+std::optional<std::vector<CollectedCell>>
+replayChunk(StageCache &cache, std::uint64_t key, std::size_t cells,
+            std::size_t attackers)
 {
     std::optional<std::string> payload = cache.lookup(kCollectKind, key);
     if (!payload)
-        return false;
+        return std::nullopt;
     std::optional<std::vector<CollectedCell>> decoded =
-        decodeCollectChunk(*payload, cells.size(), attackers);
-    if (!decoded) {
+        decodeCollectChunk(*payload, cells, attackers);
+    if (!decoded)
         cache.remove(kCollectKind, key);
-        return false;
-    }
-    std::move(decoded->begin(), decoded->end(), cells.begin());
-    return true;
+    return decoded;
 }
 
 /**
  * The Collect stage's first task. With a cache it probes every
- * collection chunk and fills the cells of the chunks that hit (replayed
- * cells add nothing to the perf counters, which measure work
- * performed); then it fans the rest out into one task per (site, run)
- * cell and per open-world trace. A rerun of a killed run therefore
+ * collection chunk and hands each hit to a task that featurizes its
+ * cells (replayed cells add nothing to the perf counters, which measure
+ * work performed); then it fans the rest out into one task per (site,
+ * run) cell and per open-world trace. A rerun of a killed run therefore
  * collects only the chunks that run never committed.
  */
 Status
@@ -516,38 +636,51 @@ startCollection(Batch &batch, JobRun &run)
         return invalidArgumentError("traces_per_site must be positive");
     run.raw = std::make_unique<CollectRun>(pipeline, run.job->collection);
     CollectRun &raw = *run.raw;
-    raw.closedCells.resize(static_cast<std::size_t>(raw.catalog.size()) *
-                           static_cast<std::size_t>(pipeline.tracesPerSite));
-    raw.openCells.resize(
-        static_cast<std::size_t>(std::max(pipeline.openWorldExtra, 0)));
+    const std::size_t closed_cells =
+        static_cast<std::size_t>(raw.catalog.size()) *
+        static_cast<std::size_t>(pipeline.tracesPerSite);
+    const auto open_cells =
+        static_cast<std::size_t>(std::max(pipeline.openWorldExtra, 0));
+    raw.closedCells.resize(closed_cells);
+    raw.openCells.resize(open_cells);
+    StageCache *cache = batch.graph.cache();
+    if (cache != nullptr) {
+        raw.closedRaw.resize(closed_cells);
+        raw.openRaw.resize(open_cells);
+    }
     raw.chunks = chunkCount(pipeline);
     raw.chunkLeft =
         std::make_unique<std::atomic<std::size_t>[]>(raw.chunks);
+    // Every cell, plus this task's hold until the fan-out is complete:
+    // replayed chunks' tasks may finish while it is still probing.
+    raw.cellsLeft.store(closed_cells + open_cells + 1,
+                        std::memory_order_relaxed);
 
-    std::size_t pending = 0;
-    StageCache *cache = batch.graph.cache();
     for (std::size_t c = 0; c < raw.chunks; ++c) {
-        const std::span<CollectedCell> cells =
-            chunkCells(raw, chunkAt(pipeline, c));
-        if (cache != nullptr &&
-            replayChunk(*cache,
-                        chunkKey(batch.graph.fingerprint(run.collect),
-                                 pipeline, c),
-                        cells, run.job->attackers.size())) {
-            ++raw.chunksReplayed;
-            continue;
+        const Chunk chunk = chunkAt(pipeline, c);
+        if (cache != nullptr) {
+            std::optional<std::vector<CollectedCell>> replayed =
+                replayChunk(*cache,
+                            chunkKey(batch.graph.fingerprint(run.collect),
+                                     pipeline, c),
+                            chunk.end - chunk.begin,
+                            run.job->attackers.size());
+            if (replayed) {
+                ++raw.chunksReplayed;
+                submitReplayed(batch, run, c, std::move(*replayed));
+                continue;
+            }
         }
-        raw.chunkLeft[c].store(cells.size(), std::memory_order_relaxed);
-        pending += cells.size();
+        raw.chunkLeft[c].store(chunk.end - chunk.begin,
+                               std::memory_order_relaxed);
     }
     if (cache != nullptr)
         std::printf("stage cache: featurized miss in %s; replayed %zu of "
                     "%zu collection chunks\n",
                     cache->dir().c_str(), raw.chunksReplayed, raw.chunks);
 
-    raw.cellsLeft.store(pending, std::memory_order_relaxed);
-    if (pending == 0)
-        return assembleCollection(batch, run);
+    // Chunk c's counter only moves once its own cells run, so reading
+    // it here, before submitting them, sees the value stored above.
     for (std::size_t c = 0; c < raw.chunks; ++c) {
         if (raw.chunkLeft[c].load(std::memory_order_relaxed) == 0)
             continue;
@@ -555,7 +688,7 @@ startCollection(Batch &batch, JobRun &run)
         for (std::size_t i = chunk.begin; i < chunk.end; ++i)
             submitCell(batch, run, chunk.open, i);
     }
-    return Status::ok();
+    return cellsDone(batch, run, 1);
 }
 
 /**
@@ -597,7 +730,7 @@ probeThenCollect(Batch &batch, JobRun &run)
 }
 
 /** The Featurize task for attacker @p a; the last one to finish frees
- *  the job's raw traces. */
+ *  the job's collection state. */
 Status
 featurizeAttacker(Batch &batch, JobRun &run, std::size_t a)
 {
@@ -609,7 +742,7 @@ featurizeAttacker(Batch &batch, JobRun &run, std::size_t a)
             return featurizeStageBody(run.raw->out, a, batch.pipeline);
         },
         /*probe=*/false);
-    // Only this task reads attacker a's traces.
+    // Only this task reads attacker a's rows.
     run.raw->out.closed[a] = {};
     if (a < run.raw->out.openExtra.size())
         run.raw->out.openExtra[a] = {};
@@ -626,8 +759,8 @@ featurizeAttacker(Batch &batch, JobRun &run, std::size_t a)
     }
     if (run.featurizeLeft.fetch_sub(1, std::memory_order_acq_rel) != 1)
         return status;
-    // Every attacker is featurized: the raw traces go now, not when
-    // the job's folds finish.
+    // Every attacker is featurized: the collection state goes now, not
+    // when the job's folds finish.
     if (std::all_of(run.featurizedOk.begin(), run.featurizedOk.end(),
                     [](char ok) { return ok != 0; })) {
         std::size_t collected = 0, dropped = 0;

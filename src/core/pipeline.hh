@@ -22,8 +22,10 @@
  * runFingerprintingBatch() declares many configurations into one graph
  * and executes it once: every job's per-(site, run) collection tasks,
  * featurization and per-fold train/score tasks share the executor with
- * no barrier between jobs or phases, and each job's raw traces are
- * freed as soon as its featurization finishes.
+ * no barrier between jobs or phases. Each collection task featurizes
+ * its own cell, so a cell's raw traces live only until then, or with a
+ * cacheDir until its chunk is committed; the Featurize stage then only
+ * gathers the rows.
  *
  * Error contract: runFingerprinting() returns Result<FingerprintResult>.
  * Traces that come back unusable (fault-truncated, empty) are dropped
@@ -174,7 +176,16 @@ struct FingerprintJob
 runFingerprintingBatch(std::span<const FingerprintJob> jobs,
                        const PipelineConfig &pipeline);
 
-/** Converts a TraceSet into an ml::Dataset of fixed-length features. */
+/**
+ * One trace's dataset row: 2 x @p feature_len values, the winsorized
+ * and standardized bucket means followed by the standardized sub-bucket
+ * dip depths. Every featurization of the pipeline goes through this.
+ */
+std::vector<double> featureRow(const attack::Trace &trace,
+                               std::size_t feature_len);
+
+/** Converts a TraceSet into an ml::Dataset: featureRow() of every
+ *  trace with its label, and at least @p num_classes classes. */
 ml::Dataset toDataset(const attack::TraceSet &traces,
                       std::size_t feature_len, int num_classes);
 

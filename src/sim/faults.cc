@@ -35,24 +35,31 @@ FaultPlan::applyToTimeline(RunTimeline &timeline) const
         return;
 
     Rng rng(timelineSeed_);
-    std::vector<StolenInterval> faulted;
-    faulted.reserve(timeline.stolen.size());
-    for (const StolenInterval &s : timeline.stolen) {
-        if (delivery && rng.bernoulli(config_.dropInterruptProb))
-            continue; // Delivery lost.
-        faulted.push_back(s);
-        if (delivery && config_.duplicateInterruptProb > 0.0 &&
-            rng.bernoulli(config_.duplicateInterruptProb)) {
-            StolenInterval dup = s;
-            dup.arrival =
-                s.end() + static_cast<TimeNs>(rng.exponential(
-                              static_cast<double>(config_.duplicateDelay)));
-            if (dup.arrival < timeline.duration)
-                faulted.push_back(dup);
+    std::vector<StolenInterval> &stolen = timeline.stolen;
+    if (delivery) {
+        std::vector<StolenInterval> faulted;
+        faulted.reserve(stolen.size());
+        for (const StolenInterval &s : stolen) {
+            if (rng.bernoulli(config_.dropInterruptProb))
+                continue; // Delivery lost.
+            faulted.push_back(s);
+            if (config_.duplicateInterruptProb > 0.0 &&
+                rng.bernoulli(config_.duplicateInterruptProb)) {
+                StolenInterval dup = s;
+                dup.arrival = s.end() +
+                              static_cast<TimeNs>(rng.exponential(
+                                  static_cast<double>(config_.duplicateDelay)));
+                if (dup.arrival < timeline.duration)
+                    faulted.push_back(dup);
+            }
         }
+        // Copied back rather than moved, so the timeline keeps the
+        // buffer the synthesizer lent it (sim/scratch.hh, rule 4).
+        stolen.assign(faulted.begin(), faulted.end());
     }
 
     if (stalls) {
+        // Appended in place, into the lent buffer's headroom.
         const double duration_s = static_cast<double>(timeline.duration) /
                                   static_cast<double>(kSec);
         const int n = rng.poisson(config_.stallsPerSecond * duration_s);
@@ -64,20 +71,17 @@ FaultPlan::applyToTimeline(RunTimeline &timeline) const
             stall.duration = static_cast<TimeNs>(
                 rng.lognormal(static_cast<double>(config_.stallMedian),
                               config_.stallSigma));
-            faulted.push_back(stall);
+            stolen.push_back(stall);
         }
     }
 
-    normalizeTimeline(faulted);
+    normalizeTimeline(stolen);
     // Clamp anything serialization pushed past the end of the run, the
     // same way the synthesizer does for its own output.
-    while (!faulted.empty() &&
-           faulted.back().arrival >= timeline.duration)
-        faulted.pop_back();
-    if (!faulted.empty() && faulted.back().end() > timeline.duration)
-        faulted.back().duration =
-            timeline.duration - faulted.back().arrival;
-    timeline.stolen = std::move(faulted);
+    while (!stolen.empty() && stolen.back().arrival >= timeline.duration)
+        stolen.pop_back();
+    if (!stolen.empty() && stolen.back().end() > timeline.duration)
+        stolen.back().duration = timeline.duration - stolen.back().arrival;
 }
 
 std::unique_ptr<timers::TimerModel>

@@ -27,6 +27,16 @@
  *     target are distinct members for exactly this reason).
  *  3. Swapping a borrowed buffer with a caller vector is encouraged:
  *     the arena inherits the caller's capacity for the next cell.
+ *  4. A lent buffer leaves the arena. InterruptSynthesizer::synthesize()
+ *     swaps `emit` into the RunTimeline it returns, so the timeline owns
+ *     it and `emit` is empty until giveBack() returns a buffer. Only the
+ *     timeline's owner may give it back, after the last reader of the
+ *     timeline is done; its contents are dead from then on. A synthesis
+ *     while the buffer is out allocates a fresh one, which is slower but
+ *     no less correct, and giveBack() keeps whichever of the two
+ *     buffers is larger. So a worker holds two interval buffers
+ *     (`emit`, `sorted`; the bucket sort swaps them), each sized to the
+ *     largest timeline it has built.
  */
 
 #ifndef BF_SIM_SCRATCH_HH
@@ -36,6 +46,7 @@
 #include <vector>
 
 #include "sim/interrupt.hh"
+#include "sim/run_timeline.hh"
 
 namespace bigfish::sim {
 
@@ -62,6 +73,20 @@ class SimScratch
         return scratch;
     }
 };
+
+/**
+ * Returns @p timeline's interval buffer to this thread's arena (rule 4
+ * above), leaving timeline.stolen empty. Call it once the last reader
+ * of a synthesized timeline is done.
+ */
+inline void
+giveBack(RunTimeline &timeline)
+{
+    std::vector<StolenInterval> &emit = SimScratch::local().emit;
+    if (timeline.stolen.capacity() > emit.capacity())
+        emit.swap(timeline.stolen);
+    timeline.stolen = {};
+}
 
 } // namespace bigfish::sim
 

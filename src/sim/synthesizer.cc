@@ -8,6 +8,14 @@
 
 namespace bigfish::sim {
 
+namespace {
+
+/** Free slots a lent timeline buffer keeps for appended stalls: a
+ *  50 s Tor run draws about 200 browser stalls. */
+constexpr std::size_t kAppendHeadroom = 1024;
+
+} // namespace
+
 InterruptSynthesizer::InterruptSynthesizer(MachineConfig config)
     : config_(std::move(config))
 {
@@ -129,9 +137,9 @@ InterruptSynthesizer::synthesize(const ActivityTimeline &activity,
     timeline.iterCostFactor.resize(activity.numIntervals(), 1.0);
     timeline.occupancy.resize(activity.numIntervals(), 0.0);
 
-    // Build the interval stream in the per-thread arena; it is copied
-    // into timeline.stolen exactly-sized at the end, so a warm thread
-    // never regrows a buffer here no matter how stormy the run is.
+    // Build the interval stream in the per-thread arena and lend that
+    // buffer to the result, so a warm thread allocates no interval
+    // buffer here no matter how stormy the run is.
     SimScratch &scratch = SimScratch::local();
     std::vector<StolenInterval> &out = scratch.emit;
     out.clear();
@@ -319,6 +327,16 @@ InterruptSynthesizer::synthesize(const ActivityTimeline &activity,
         }
     }
 
+    // The bucket sort scatters the stream into scratch.sorted and swaps
+    // it in, so that is normally the buffer lent out below. Size it now,
+    // headroom included, dropping its stale contents instead of letting
+    // a growing resize copy them: growing it after the sort would copy
+    // the whole timeline while both buffers are live.
+    const std::size_t lent = out.size() + kAppendHeadroom;
+    if (scratch.sorted.capacity() < lent) {
+        scratch.sorted = {};
+        scratch.sorted.reserve(lent);
+    }
     normalizeTimeline(out, perf);
     // Clamp anything pushed past the end of the run by serialization.
     while (!out.empty() && out.back().arrival >= timeline.duration)
@@ -326,11 +344,15 @@ InterruptSynthesizer::synthesize(const ActivityTimeline &activity,
     if (!out.empty() && out.back().end() > timeline.duration)
         out.back().duration = timeline.duration - out.back().arrival;
 
-    // Materialize the result with one exact-size allocation (the arena
-    // buffer stays behind, capacity intact, for the next cell).
-    timeline.stolen.assign(out.begin(), out.end());
+    // Lend the arena buffer to the result instead of copying it out.
+    // Headroom for the few intervals later stages append (browser and
+    // fault stalls) keeps those appends from regrowing it; the caller
+    // gives the buffer back with giveBack() once the timeline is done.
+    if (out.capacity() - out.size() < kAppendHeadroom)
+        out.reserve(out.size() + kAppendHeadroom);
+    timeline.stolen.swap(out);
     if (perf)
-        perf->allocations += 1;
+        perf->allocations += 1; // the result buffer, lent or not
     return timeline;
 }
 

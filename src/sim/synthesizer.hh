@@ -49,9 +49,15 @@ class InterruptSynthesizer
     /**
      * Synthesizes the attacker-core schedule for one run.
      *
-     * The timeline is built in the per-thread SimScratch arena and
-     * materialized into the result with a single exact-size copy, so a
-     * warm thread performs no growth reallocations on this path.
+     * The timeline's intervals are built in the per-thread SimScratch
+     * arena, and the arena's buffer is then lent to the result: no
+     * copy, and the buffer keeps free slots so the stalls later stages
+     * append (web::applyBrowserRuntime(), FaultPlan::applyToTimeline())
+     * do not regrow it. Hand it back with sim::giveBack() once the
+     * timeline is done, and a warm thread allocates no interval buffer
+     * on this path at all. A timeline that is never given back is still
+     * correct; the next synthesis on that thread just allocates afresh
+     * (sim/scratch.hh, rule 4).
      *
      * @param activity The victim's activity over the run.
      * @param rng Per-run randomness (fork one stream per trace).

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/rng.hh"
 #include "core/artifact.hh"
 #include "core/collector.hh"
 #include "core/pipeline.hh"
@@ -230,6 +231,44 @@ TEST(ToDataset, SingleClassInputsKeepDeclaredWorldSize)
     EXPECT_EQ(data.numClasses, 4);
 }
 
+TEST(ToDataset, EqualsThePerTraceRowsConcatenated)
+{
+    // The pipeline featurizes each collection cell on its own with
+    // featureRow(); toDataset() must be exactly those rows in order, for
+    // traces of every shape: shorter than the feature length, shorter
+    // than the dip channel's pairing threshold, odd lengths, flat ones.
+    Rng rng(20221018);
+    for (int round = 0; round < 20; ++round) {
+        attack::TraceSet set;
+        const auto traces = rng.uniformInt(1, 12);
+        for (std::int64_t i = 0; i < traces; ++i) {
+            attack::Trace t;
+            t.label = static_cast<Label>(rng.uniformInt(0, 4));
+            const auto len = rng.uniformInt(1, 900);
+            const bool flat = rng.bernoulli(0.1);
+            for (std::int64_t k = 0; k < len; ++k)
+                t.counts.push_back(flat ? 100.0 : rng.uniform(20.0, 120.0));
+            set.add(std::move(t));
+        }
+        const std::size_t feature_len =
+            static_cast<std::size_t>(rng.uniformInt(4, 64));
+        const int declared = static_cast<int>(rng.uniformInt(1, 7));
+        const ml::Dataset data = toDataset(set, feature_len, declared);
+        ASSERT_EQ(data.size(), set.size());
+        int classes = declared;
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            const std::vector<double> row =
+                featureRow(set.traces[i], feature_len);
+            ASSERT_EQ(row.size(), 2 * feature_len);
+            // Equal, not merely close.
+            EXPECT_EQ(data.features[i], row) << "round " << round;
+            EXPECT_EQ(data.labels[i], set.traces[i].label);
+            classes = std::max(classes, set.traces[i].label + 1);
+        }
+        EXPECT_EQ(data.numClasses, classes);
+    }
+}
+
 TEST(Presets, Table1MatrixMatchesPaper)
 {
     const auto rows = presets::table1Rows();
@@ -404,6 +443,24 @@ TEST(RunArtifact, PeakRssSharesTheTimingLine)
     const std::size_t line = json.rfind('\n', at) + 1;
     EXPECT_EQ(json.compare(line, 16, "  \"wallSeconds\":"), 0) << json;
     EXPECT_NE(artifact.explainText().find("peak RSS 412.5 MB"),
+              std::string::npos);
+}
+
+TEST(RunArtifact, MinorFaultsShareTheTimingLine)
+{
+    RunArtifact artifact("unit", spec::RunSpec{});
+    artifact.setPeakRssMb(165.0);
+    artifact.setMinorFaults(91234);
+    EXPECT_EQ(artifact.minorFaults(), 91234);
+    const std::string json = artifact.toJson();
+    // Page faults vary run to run like peak RSS, so they sit on the same
+    // wallSeconds line that Seconds-filtered artifact diffs drop.
+    const std::size_t at = json.find("\"minorFaults\": 91234");
+    ASSERT_NE(at, std::string::npos) << json;
+    const std::size_t line = json.rfind('\n', at) + 1;
+    EXPECT_EQ(json.compare(line, 16, "  \"wallSeconds\":"), 0) << json;
+    EXPECT_NE(artifact.explainText().find(
+                  "peak RSS 165.0 MB, minor faults 91234"),
               std::string::npos);
 }
 

@@ -11,9 +11,12 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <filesystem>
 #include <malloc.h>
 #include <mutex>
+#include <new>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -26,6 +29,48 @@
 #include "core/stage.hh"
 #include "ml/evaluation.hh"
 #include "web/catalog.hh"
+
+// Live-heap accounting for the memory tests: every operator new and
+// delete moves a live byte count (by malloc_usable_size, so deletes
+// need no size) and its high-water mark.
+namespace {
+std::atomic<long long> gLiveHeapBytes{0};
+std::atomic<long long> gPeakHeapBytes{0};
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    void *p = std::malloc(size == 0 ? 1 : size);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    const auto bytes = static_cast<long long>(malloc_usable_size(p));
+    const long long live = gLiveHeapBytes.fetch_add(bytes) + bytes;
+    long long peak = gPeakHeapBytes.load(std::memory_order_relaxed);
+    while (live > peak && !gPeakHeapBytes.compare_exchange_weak(peak, live))
+        ;
+    return p;
+}
+
+// The replacement pair is malloc/free; GCC flags the free() once it
+// inlines these into std::allocator, as if new and free were mixed.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void
+operator delete(void *p) noexcept
+{
+    if (p != nullptr)
+        gLiveHeapBytes.fetch_sub(
+            static_cast<long long>(malloc_usable_size(p)));
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    operator delete(p);
+}
+#pragma GCC diagnostic pop
 
 namespace bigfish {
 namespace {
@@ -907,51 +952,27 @@ TEST(PipelineBatch, FirstFailingJobInDeclarationOrderWinsAndOthersDrain)
                   .toString());
 }
 
-/** Bytes currently allocated from the C heap (arenas plus mmap). */
+/** Runs @p jobs and returns how far the live heap, as counted by the
+ *  operator new/delete replacement at the top of this file, rose above
+ *  where it started. */
 std::size_t
-liveHeapBytes()
+peakHeapGrowth(std::span<const core::FingerprintJob> jobs,
+               const core::PipelineConfig &pipeline)
 {
-    const struct mallinfo2 info = mallinfo2();
-    return info.uordblks + info.hblkhd;
+    const long long before = gLiveHeapBytes.load();
+    gPeakHeapBytes.store(before);
+    EXPECT_TRUE(core::runFingerprintingBatch(jobs, pipeline).isOk());
+    const long long peak = gPeakHeapBytes.load();
+    return peak > before ? static_cast<std::size_t>(peak - before) : 0;
 }
-
-/** Records the live heap while a fold trains. */
-std::atomic<std::size_t> g_heap_at_fit{0};
-
-/** kNN that samples the live heap at every fit. */
-class HeapProbeClassifier : public ml::Classifier
-{
-  public:
-    explicit HeapProbeClassifier(std::unique_ptr<ml::Classifier> inner)
-        : inner_(std::move(inner))
-    {
-    }
-
-    void
-    fit(const ml::Dataset &train, const ml::Dataset &validation) override
-    {
-        const std::size_t live = liveHeapBytes();
-        std::size_t seen = g_heap_at_fit.load();
-        while (live > seen && !g_heap_at_fit.compare_exchange_weak(seen, live)) {
-        }
-        inner_->fit(train, validation);
-    }
-
-    std::vector<double>
-    predictScores(const std::vector<double> &x) const override
-    {
-        return inner_->predictScores(x);
-    }
-
-  private:
-    std::unique_ptr<ml::Classifier> inner_;
-};
 
 TEST(PipelineBatch, RawTracesAreReleasedOnceFeaturizationFinishes)
 {
-    // One thread: every fold trains strictly after its job's
-    // featurization, so a fit that still sees the raw traces on the
-    // heap means they were kept past featurization.
+    // Each collection task featurizes its own cell, so a cell's raw
+    // traces never outlive it; with a cache they live until their
+    // chunk (one site's runs) is committed. On one thread at most one
+    // cell, or one chunk plus its encoded payload, is alive at a time,
+    // so the heap never comes near the job's whole raw collection.
     ScopedThreads scoped(1);
     core::FingerprintJob job;
     job.collection = smallConfig();
@@ -959,25 +980,15 @@ TEST(PipelineBatch, RawTracesAreReleasedOnceFeaturizationFinishes)
     job.attackers = {attack::AttackerKind::LoopCounting,
                      attack::AttackerKind::SweepCounting};
     core::PipelineConfig pipeline;
-    pipeline.numSites = 4;
+    pipeline.numSites = 12;
     pipeline.tracesPerSite = 4;
     pipeline.featureLen = 8;
     pipeline.eval.folds = 2;
-    const ml::ClassifierFactory knn = ml::knnFactory(1);
-    pipeline.factory = ml::ClassifierFactory(
-        [knn](int classes, std::size_t len, std::uint64_t seed)
-            -> std::unique_ptr<ml::Classifier> {
-            return std::make_unique<HeapProbeClassifier>(
-                knn(classes, len, seed));
-        });
+    pipeline.factory = ml::knnFactory(1);
 
-    // What the job's raw traces weigh, from the same collection, and
-    // whether the heap probe sees them at all (a sanitizer's allocator
-    // is invisible to mallinfo2).
+    // What the job's raw traces weigh, from the same collection.
     std::size_t raw_bytes = 0;
-    std::size_t seen_while_held = 0;
     {
-        const std::size_t before_collect = liveHeapBytes();
         const core::TraceCollector collector(job.collection);
         const web::SiteCatalog catalog(pipeline.numSites,
                                        pipeline.catalogSeed);
@@ -991,22 +1002,25 @@ TEST(PipelineBatch, RawTracesAreReleasedOnceFeaturizationFinishes)
                 raw_bytes += trace.counts.size() * sizeof(trace.counts[0]) +
                              trace.wallTimes.size() *
                                  sizeof(trace.wallTimes[0]);
-        const std::size_t held = liveHeapBytes();
-        seen_while_held = held > before_collect ? held - before_collect : 0;
     }
-    ASSERT_GT(raw_bytes, std::size_t{1} << 20);
-    if (seen_while_held < raw_bytes / 2)
-        GTEST_SKIP() << "mallinfo2 does not see this allocator";
+    ASSERT_GT(raw_bytes, std::size_t{2} << 20);
+    ASSERT_GT(gLiveHeapBytes.load(), 0) << "the heap counter sees nothing";
 
-    g_heap_at_fit.store(0);
-    const std::size_t before = liveHeapBytes();
     const std::vector<core::FingerprintJob> jobs = {job};
+    // A first run warms the worker's simulator arena and every lazily
+    // built table, so the measured runs see only what they hold.
     ASSERT_TRUE(core::runFingerprintingBatch(jobs, pipeline).isOk());
-    ASSERT_GT(g_heap_at_fit.load(), 0u);
-    const std::size_t grown =
-        g_heap_at_fit.load() > before ? g_heap_at_fit.load() - before : 0;
-    EXPECT_LT(grown, raw_bytes / 2)
-        << "raw traces (" << raw_bytes << " B) still live while folds train";
+
+    const std::size_t uncached = peakHeapGrowth(jobs, pipeline);
+    EXPECT_LT(uncached, raw_bytes / 4)
+        << "raw traces (" << raw_bytes << " B) outlived their cells";
+
+    pipeline.cacheDir = testing::TempDir() + "bf_raw_release_cache";
+    std::filesystem::remove_all(pipeline.cacheDir);
+    const std::size_t cached = peakHeapGrowth(jobs, pipeline);
+    EXPECT_LT(cached, raw_bytes / 2)
+        << "raw traces (" << raw_bytes << " B) outlived their chunk";
+    std::filesystem::remove_all(pipeline.cacheDir);
 }
 
 } // namespace

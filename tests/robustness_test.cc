@@ -544,6 +544,88 @@ TEST(CollectChunks, ChunksOfAnotherTracesPerSiteNeverReplay)
     expectSameResults(cached, small.run());
 }
 
+void
+expectSameDataset(const ml::Dataset &got, const ml::Dataset &want)
+{
+    EXPECT_EQ(got.numClasses, want.numClasses);
+    EXPECT_EQ(got.labels, want.labels);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(got.features[i], want.features[i]) << "row " << i;
+}
+
+TEST(Featurization, OpenWorldFromClosedRowsEqualsTheMergedTraceSet)
+{
+    // The pipeline featurizes each cell as it lands and builds the open
+    // world from the closed world's rows. With traces dropped in both
+    // worlds, both datasets must still be exactly toDataset() of the
+    // swept trace sets, the open one of the merged set — whether the
+    // rows came from collected cells or from replayed chunks.
+    SmallRun small;
+    small.config.faults.truncateProb = 0.3;
+    small.config.faults.truncateKeepMin = 0.0;
+    small.config.faults.truncateKeepMax = 0.005;
+    small.config.faults.seed = 5;
+    const PipelineConfig &pipeline = small.pipeline;
+
+    const web::SiteCatalog catalog(pipeline.numSites, pipeline.catalogSeed);
+    const TraceCollector collector(small.config);
+    std::vector<CollectionStats> closed_stats, open_stats;
+    auto closed = collector.collectClosedWorldMulti(
+        catalog, pipeline.tracesPerSite, small.kinds, &closed_stats);
+    auto extra = collector.collectOpenWorldMulti(
+        catalog, pipeline.openWorldExtra, pipeline.numSites, small.kinds,
+        &open_stats);
+    ASSERT_TRUE(closed.isOk() && extra.isOk());
+    ASSERT_GT(closed_stats[0].dropped, 0u);
+    ASSERT_GT(open_stats[0].dropped, 0u);
+
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        ScopedThreads scoped(threads);
+        small.pipeline.cacheDir = cacheDir("open" + std::to_string(threads));
+        for (const char *pass : {"collected", "replayed"}) {
+            SCOPED_TRACE(pass);
+            const auto results = small.run();
+            ASSERT_EQ(results.size(), 2u);
+            auto cache = StageCache::open(pipeline.cacheDir);
+            ASSERT_TRUE(cache.isOk());
+            for (std::size_t a = 0; a < results.size(); ++a) {
+                const auto report = std::find_if(
+                    results[a].stages.begin(), results[a].stages.end(),
+                    [](const StageReport &r) {
+                        return r.name.rfind("featurize/", 0) == 0;
+                    });
+                ASSERT_NE(report, results[a].stages.end());
+                const auto payload =
+                    cache.value().lookup("featurized", report->fingerprint);
+                ASSERT_TRUE(payload.has_value());
+                const auto entry = decodeFeaturized(*payload);
+                ASSERT_TRUE(entry.has_value());
+
+                attack::TraceSet merged = closed.value()[a];
+                for (const attack::Trace &t : extra.value()[a].traces)
+                    merged.add(t);
+                expectSameDataset(entry->closedWorld,
+                                  toDataset(closed.value()[a],
+                                            pipeline.featureLen,
+                                            pipeline.numSites));
+                ASSERT_TRUE(entry->hasOpenWorld);
+                expectSameDataset(entry->openWorld,
+                                  toDataset(merged, pipeline.featureLen,
+                                            pipeline.numSites + 1));
+                EXPECT_EQ(entry->droppedTraces,
+                          closed_stats[a].dropped + open_stats[a].dropped);
+                EXPECT_EQ(entry->collectedTraces,
+                          closed_stats[a].collected +
+                              open_stats[a].collected);
+            }
+            // Next pass: the same rows, featurized from the chunks.
+            dropFeaturized(pipeline.cacheDir);
+        }
+    }
+}
+
 TEST(CollectChunksDeathTest, CrashAfterNPutsLeavesACacheTheRerunCompletes)
 {
     // A fresh process per death statement: the child must not inherit

@@ -4,18 +4,69 @@
  * DESIGN.md §13): for a pinned spec the counts are exact constants,
  * identical at every thread count and SIMD dispatch tag, and cells
  * replayed from stage-cache collection chunks report zero because the
- * counters measure work performed, exactly like cpuSeconds.
+ * counters measure work performed, exactly like cpuSeconds. The
+ * SimScratch tests check the arena's lent interval buffer (sim/scratch.hh
+ * rule 4): a warm worker allocates none, and whether a buffer came back
+ * never changes a timeline.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <filesystem>
+#include <new>
 
 #include "base/simd.hh"
 #include "base/thread_pool.hh"
 #include "core/collector.hh"
 #include "core/pipeline.hh"
+#include "sim/scratch.hh"
 #include "web/catalog.hh"
+
+// Allocation tracking for the arena tests: while this thread has
+// tracking armed, every operator new of at least kLargeAllocation bytes
+// is counted, so a test can prove a warm worker's cell allocates no
+// interval buffer.
+namespace {
+constexpr std::size_t kLargeAllocation = std::size_t{1} << 20;
+thread_local bool tTrackLarge = false;
+std::atomic<long long> gLargeAllocations{0};
+std::atomic<std::size_t> gLargestTracked{0};
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    if (tTrackLarge) {
+        if (size >= kLargeAllocation)
+            gLargeAllocations.fetch_add(1, std::memory_order_relaxed);
+        std::size_t seen = gLargestTracked.load(std::memory_order_relaxed);
+        while (size > seen &&
+               !gLargestTracked.compare_exchange_weak(seen, size))
+            ;
+    }
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+// The replacement pair is malloc/free; GCC flags the free() once it
+// inlines these into std::allocator, as if new and free were mixed.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace bigfish::core {
 namespace {
@@ -166,6 +217,130 @@ TEST(SimPerfCounters, AccumulationArithmetic)
     EXPECT_EQ(sum.bytesSorted, 700);
     EXPECT_TRUE(sim::PerfCounters{}.empty());
     EXPECT_FALSE(sum.empty());
+}
+
+} // namespace
+} // namespace bigfish::core
+
+namespace bigfish::core {
+namespace {
+
+/** Counts this thread's large allocations while in scope. */
+class LargeAllocationWatch
+{
+  public:
+    LargeAllocationWatch()
+    {
+        gLargeAllocations.store(0);
+        gLargestTracked.store(0);
+        tTrackLarge = true;
+    }
+    ~LargeAllocationWatch() { tTrackLarge = false; }
+    LargeAllocationWatch(const LargeAllocationWatch &) = delete;
+    LargeAllocationWatch &operator=(const LargeAllocationWatch &) = delete;
+
+    long long count() const { return gLargeAllocations.load(); }
+    std::size_t largest() const { return gLargestTracked.load(); }
+};
+
+/** A Tor configuration: 50 s traces, the largest timelines the
+ *  experiments synthesize. */
+CollectionConfig
+torConfig()
+{
+    CollectionConfig config;
+    config.seed = 2022;
+    config.browser = web::BrowserProfile::torBrowser();
+    return config;
+}
+
+void
+expectSameTimeline(const sim::RunTimeline &x, const sim::RunTimeline &y)
+{
+    EXPECT_EQ(x.duration, y.duration);
+    EXPECT_EQ(x.activityInterval, y.activityInterval);
+    EXPECT_EQ(x.iterCostFactor, y.iterCostFactor);
+    EXPECT_EQ(x.occupancy, y.occupancy);
+    ASSERT_EQ(x.stolen.size(), y.stolen.size());
+    for (std::size_t i = 0; i < x.stolen.size(); ++i) {
+        ASSERT_EQ(x.stolen[i].arrival, y.stolen[i].arrival) << i;
+        ASSERT_EQ(x.stolen[i].duration, y.stolen[i].duration) << i;
+        ASSERT_EQ(x.stolen[i].kind, y.stolen[i].kind) << i;
+    }
+}
+
+TEST(SimScratch, WarmWorkerAllocatesNoIntervalBuffer)
+{
+    // The synthesizer lends its arena buffer to the timeline, browser
+    // stalls append into its headroom, and collectOneMulti() gives it
+    // back after the last attacker: once a worker has collected one
+    // cell, collecting a cell of the same size allocates no buffer of
+    // interval size at all.
+    const TraceCollector collector(torConfig());
+    const web::SiteCatalog catalog(2, kCatalogSeed);
+    const attack::AttackerKind attackers[] = {
+        attack::AttackerKind::LoopCounting,
+        attack::AttackerKind::SweepCounting};
+    const auto warm = collector.collectOneMulti(catalog.site(1), 0, attackers);
+    ASSERT_TRUE(warm[0].isOk()) << warm[0].status().toString();
+    // The buffer came back to this thread's arena, and it is Tor-sized.
+    ASSERT_GE(sim::SimScratch::local().emit.capacity() *
+                  sizeof(sim::StolenInterval),
+              std::size_t{8} * kLargeAllocation);
+
+    std::vector<Result<attack::Trace>> again;
+    long long large = 0;
+    std::size_t largest = 0;
+    {
+        LargeAllocationWatch watch;
+        again = collector.collectOneMulti(catalog.site(1), 0, attackers);
+        large = watch.count();
+        largest = watch.largest();
+    }
+    EXPECT_EQ(large, 0) << "largest allocation " << largest << " B";
+    ASSERT_EQ(again.size(), warm.size());
+    for (std::size_t a = 0; a < warm.size(); ++a) {
+        ASSERT_TRUE(again[a].isOk());
+        EXPECT_EQ(again[a].value().counts, warm[a].value().counts);
+        EXPECT_EQ(again[a].value().wallTimes, warm[a].value().wallTimes);
+    }
+}
+
+TEST(SimScratch, TimelineIsTheSameWhetherOrNotTheBufferCameBack)
+{
+    // A timeline must not depend on what its thread's arena holds: an
+    // empty arena (the previous caller kept its buffer) and a warm one
+    // holding another cell's stale intervals give identical timelines.
+    const TraceCollector collector(torConfig());
+    const web::SiteCatalog catalog(3, kCatalogSeed);
+    const web::SiteSignature &site = catalog.site(2);
+
+    sim::RunTimeline kept = collector.synthesizeTimeline(site, 0);
+    // The arena's buffer is still lent to `kept`: this one is fresh.
+    sim::RunTimeline fresh = collector.synthesizeTimeline(site, 1);
+    const sim::RunTimeline expected = fresh;
+    sim::giveBack(fresh);
+    sim::giveBack(kept);
+    EXPECT_TRUE(kept.stolen.empty());
+
+    // Leave another cell's intervals in the arena, then rebuild.
+    sim::RunTimeline other = collector.synthesizeTimeline(catalog.site(0), 4);
+    sim::giveBack(other);
+    const sim::RunTimeline rebuilt = collector.synthesizeTimeline(site, 1);
+    expectSameTimeline(rebuilt, expected);
+
+    // And whole cells: collecting with and without the buffer returned
+    // yields the same traces.
+    const attack::AttackerKind attackers[] = {
+        attack::AttackerKind::LoopCounting};
+    const auto warm = collector.collectOneMulti(site, 1, attackers);
+    sim::RunTimeline holder = collector.synthesizeTimeline(site, 0);
+    const auto cold = collector.collectOneMulti(site, 1, attackers);
+    sim::giveBack(holder);
+    ASSERT_TRUE(warm[0].isOk());
+    ASSERT_TRUE(cold[0].isOk());
+    EXPECT_EQ(warm[0].value().counts, cold[0].value().counts);
+    EXPECT_EQ(warm[0].value().wallTimes, cold[0].value().wallTimes);
 }
 
 } // namespace

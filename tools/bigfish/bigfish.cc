@@ -472,9 +472,11 @@ cmdRun(const core::ExperimentRegistry &registry,
         artifact.value().setWallSeconds(wall.seconds());
         artifact.value().setCpuSeconds(cpu.seconds());
         struct rusage usage = {};
-        if (::getrusage(RUSAGE_SELF, &usage) == 0) // ru_maxrss is in KiB
+        if (::getrusage(RUSAGE_SELF, &usage) == 0) { // ru_maxrss in KiB
             artifact.value().setPeakRssMb(
                 static_cast<double>(usage.ru_maxrss) / 1024.0);
+            artifact.value().setMinorFaults(usage.ru_minflt);
+        }
         if (options.explain) {
             std::printf("\nstage graph (fingerprints + cache "
                         "provenance):\n%s",

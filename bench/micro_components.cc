@@ -278,13 +278,21 @@ BM_CnnLstmTrainEpochPerSample(benchmark::State &state)
 BENCHMARK(BM_CnnLstmTrainEpochPerSample);
 
 /**
- * Per-ISA kernel sweep: each case runs once per simd::Tag (Arg 0..2 =
- * scalar/sse2/avx2, clamped to what the host supports) at the shapes
+ * Per-ISA kernel sweep: each case runs once per simd::Tag (scalar and
+ * avx2, the latter clamped to what the host supports) at the shapes
  * the paper model actually trains — LSTM hidden 32 over 32-sample
  * batches (gate spans of 1024 lanes), the full CNN-LSTM Adam parameter
  * block, and the conv GEMM — so the scalar row IS the before and the
  * avx2 row the after of the vectorization.
  */
+/** Registers one run per simd::Tag; the Arg is the Tag's value. */
+void
+eachTag(benchmark::internal::Benchmark *bench)
+{
+    for (const simd::Tag tag : {simd::Tag::Scalar, simd::Tag::Avx2})
+        bench->Arg(static_cast<int>(tag));
+}
+
 simd::Tag
 benchTag(benchmark::State &state)
 {
@@ -314,7 +322,7 @@ BM_KernelDotByIsa(benchmark::State &state)
             ml::kernels::dot(a.data(), b.data(), a.size()));
     simd::setActive(saved);
 }
-BENCHMARK(BM_KernelDotByIsa)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelDotByIsa)->Apply(eachTag);
 
 void
 BM_KernelLstmGatesByIsa(benchmark::State &state)
@@ -342,7 +350,7 @@ BM_KernelLstmGatesByIsa(benchmark::State &state)
     }
     simd::setActive(saved);
 }
-BENCHMARK(BM_KernelLstmGatesByIsa)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelLstmGatesByIsa)->Apply(eachTag);
 
 void
 BM_KernelAdamStepByIsa(benchmark::State &state)
@@ -377,7 +385,7 @@ BM_KernelAdamStepByIsa(benchmark::State &state)
     }
     simd::setActive(saved);
 }
-BENCHMARK(BM_KernelAdamStepByIsa)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelAdamStepByIsa)->Apply(eachTag);
 
 void
 BM_KernelSigmoidByIsa(benchmark::State &state)
@@ -395,7 +403,7 @@ BM_KernelSigmoidByIsa(benchmark::State &state)
     }
     simd::setActive(saved);
 }
-BENCHMARK(BM_KernelSigmoidByIsa)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KernelSigmoidByIsa)->Apply(eachTag);
 
 void
 BM_MatmulByIsa(benchmark::State &state)
@@ -411,7 +419,7 @@ BM_MatmulByIsa(benchmark::State &state)
         benchmark::DoNotOptimize(ml::matmul(a, b));
     simd::setActive(saved);
 }
-BENCHMARK(BM_MatmulByIsa)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MatmulByIsa)->Apply(eachTag);
 
 } // namespace
 

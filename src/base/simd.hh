@@ -7,21 +7,21 @@
  * rule): every kernel that wants vector types reaches them through
  * here, so ISA-specific code cannot quietly spread through the tree.
  *
- * The kernel layer (ml/kernels.cc) carries three implementations of
- * every hot loop — AVX2, SSE2, and portable scalar — selected at
- * runtime behind one bf::simd::Tag. Selection order: the BF_SIMD
- * environment variable ("avx2" | "sse2" | "scalar", read once) when
- * set and supported by the host, otherwise the best ISA the CPU
- * reports. setActive() exists so tests and benches can sweep all three
- * paths in one process.
+ * The kernel layer (ml/kernels.cc) carries two implementations of
+ * every hot loop — AVX2, and the portable scalar reference the AVX2
+ * kernels are tested against — selected at runtime behind one
+ * bf::simd::Tag. Selection order: the BF_SIMD environment variable
+ * ("avx2" | "scalar", read once) when set and supported by the host,
+ * otherwise the best ISA the CPU reports. setActive() exists so tests
+ * and benches can sweep both paths in one process.
  *
- * Determinism contract (DESIGN.md §10): every Tag produces bit-identical
+ * Determinism contract (DESIGN.md §10): both Tags produce bit-identical
  * results. All reductions use a fixed 8-lane virtual accumulator — the
- * scalar and SSE2 paths emulate the same eight partial sums and the
- * same horizontal combine tree the AVX2 path uses (hsum8/hsum128 below
- * ARE that tree) — and no path uses fused multiply-add, so changing
- * Tag (or the host CPU) can never change a trained weight, a stage
- * fingerprint, or a cache replay.
+ * scalar path emulates the same eight partial sums and the same
+ * horizontal combine tree the AVX2 path uses (hsum8/hsum128Pair below
+ * ARE that tree) — and neither path uses fused multiply-add, so
+ * changing Tag (or the host CPU) can never change a trained weight, a
+ * stage fingerprint, or a cache replay.
  */
 
 #ifndef BF_BASE_SIMD_HH
@@ -38,11 +38,10 @@ namespace bigfish::simd {
 enum class Tag
 {
     Scalar = 0, ///< Portable C++; emulates the 8-lane accumulator.
-    Sse2 = 1,   ///< 128-bit pairs; emulates the 8-lane accumulator.
-    Avx2 = 2,   ///< 256-bit vectors; the native 8-lane shape.
+    Avx2 = 1,   ///< 256-bit vectors; the native 8-lane shape.
 };
 
-/** Lowercase name of @p tag ("scalar" / "sse2" / "avx2"). */
+/** Lowercase name of @p tag ("scalar" / "avx2"). */
 const char *name(Tag tag);
 
 /** True when the host CPU can execute @p tag's kernels. */
@@ -59,9 +58,9 @@ Tag detect();
 Tag active();
 
 /**
- * Forces the dispatch Tag (tests/benches sweeping all paths). An
- * unsupported @p tag is clamped to the best supported level at or
- * below it. Returns the Tag that took effect.
+ * Forces the dispatch Tag (tests/benches sweeping both paths). An
+ * unsupported @p tag falls back to Scalar. Returns the Tag that took
+ * effect.
  */
 Tag setActive(Tag tag);
 
@@ -73,7 +72,7 @@ Tag setActive(Tag tag);
  *
  *   ((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))
  *
- * Every reduction in the kernel layer — any Tag — must funnel its
+ * Every reduction in the kernel layer — either Tag — must funnel its
  * eight virtual lanes through exactly this tree (the scalar path
  * spells it out in scalarHsum8 form inside ml/kernels.cc).
  */

@@ -164,7 +164,6 @@ TEST(RngExact, Mt64MatchesStdMt19937_64RawDraws)
 {
     const bigfish::simd::Tag previous = bigfish::simd::active();
     const bigfish::simd::Tag tags[] = {bigfish::simd::Tag::Scalar,
-                                       bigfish::simd::Tag::Sse2,
                                        bigfish::simd::Tag::Avx2};
     for (const bigfish::simd::Tag want : tags) {
         const bigfish::simd::Tag got = bigfish::simd::setActive(want);

@@ -314,125 +314,6 @@ CnnLstmClassifier::loadModel(const std::string &text)
     return loadWeights(in, net_).isOk();
 }
 
-MlpClassifier::MlpClassifier(int num_classes, std::size_t feature_len,
-                             MlpParams params, std::uint64_t seed)
-    : numClasses_(num_classes), featureLen_(feature_len), params_(params),
-      seed_(seed)
-{
-    fatalIf(num_classes < 2, "need at least two classes");
-    Rng rng(seed);
-    net_.add(std::make_unique<Dense>(feature_len, params_.hidden, rng));
-    net_.add(std::make_unique<ReLU>());
-    net_.add(std::make_unique<Dropout>(params_.dropout, rng()));
-    net_.add(std::make_unique<Dense>(params_.hidden,
-                                     static_cast<std::size_t>(num_classes),
-                                     rng));
-}
-
-Matrix
-MlpClassifier::toInput(const std::vector<double> &x) const
-{
-    panicIf(x.size() != featureLen_, "feature length mismatch");
-    Matrix in(featureLen_, 1);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        in(i, 0) = static_cast<float>(x[i]);
-    return in;
-}
-
-double
-MlpClassifier::accuracy(const Dataset &data) const
-{
-    if (data.size() == 0)
-        return 0.0;
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < data.size(); ++i)
-        if (predict(data.features[i]) == data.labels[i])
-            ++hits;
-    return static_cast<double>(hits) / static_cast<double>(data.size());
-}
-
-void
-MlpClassifier::fit(const Dataset &train, const Dataset &validation)
-{
-    fatalIf(train.size() == 0, "empty training set");
-    Adam adam(params_.learningRate);
-    Rng rng(mix64(seed_) ^ 0x31f7ULL);
-
-    double best_val = -1.0;
-    int epochs_since_best = 0;
-    skippedBatches_ = 0;
-    std::vector<std::size_t> order(train.size());
-    std::iota(order.begin(), order.end(), 0);
-
-    std::vector<Matrix> inputs;
-    inputs.reserve(train.size());
-    for (const auto &f : train.features)
-        inputs.push_back(toInput(f));
-
-    // Fixed layer set: collect the optimizer's pointer lists once
-    // rather than per step.
-    const std::vector<Matrix *> param_ptrs = net_.params();
-    const std::vector<Matrix *> grad_ptrs = net_.grads();
-
-    Matrix grad;
-    for (int epoch = 0; epoch < params_.maxEpochs; ++epoch) {
-        std::shuffle(order.begin(), order.end(), rng.engine());
-        std::size_t i = 0;
-        while (i < order.size()) {
-            net_.zeroGrads();
-            const std::size_t end = std::min(
-                i + static_cast<std::size_t>(params_.batchSize),
-                order.size());
-            const std::size_t batch = end - i;
-            for (; i < end; ++i) {
-                const std::size_t s = order[i];
-                const Matrix logits = net_.forward(inputs[s], true);
-                SoftmaxCrossEntropy::lossAndGradient(logits,
-                                                     train.labels[s], grad);
-                net_.backward(grad);
-            }
-            if (!adam.stepIfFinite(param_ptrs, grad_ptrs,
-                                   1.0 / static_cast<double>(batch))) {
-                ++skippedBatches_;
-                warnOnce("ml/non-finite-batch",
-                         "skipping training batch(es) with non-finite "
-                         "loss or gradients");
-            }
-        }
-        const double val_acc = validation.size() > 0 ? accuracy(validation)
-                                                     : accuracy(train);
-        if (val_acc > best_val + 1e-9) {
-            best_val = val_acc;
-            epochs_since_best = 0;
-        } else if (++epochs_since_best >= params_.patience) {
-            break;
-        }
-    }
-}
-
-std::vector<double>
-MlpClassifier::predictScores(const std::vector<double> &x) const
-{
-    return SoftmaxCrossEntropy::probabilities(
-        net_.forward(toInput(x), false));
-}
-
-std::string
-MlpClassifier::saveModel() const
-{
-    std::ostringstream out;
-    if (!saveWeights(out, net_).isOk())
-        return {};
-    return out.str();
-}
-
-bool
-MlpClassifier::loadModel(const std::string &text)
-{
-    std::istringstream in(text);
-    return loadWeights(in, net_).isOk();
-}
-
 SoftmaxRegressionClassifier::SoftmaxRegressionClassifier(
     int num_classes, std::size_t feature_len, std::uint64_t seed, double lr,
     int epochs, double l2)
@@ -612,26 +493,6 @@ softmaxRegressionFactory()
         },
         "model=softmax-regression\nlr=0x1.999999999999ap-5\n"
         "epochs=120\nl2=0x1.a36e2eb1c432dp-14\n");
-}
-
-ClassifierFactory
-mlpFactory(MlpParams params)
-{
-    std::ostringstream canon;
-    canon << "model=mlp\n"
-          << "hidden=" << params.hidden << '\n'
-          << "dropout=" << hexDouble(params.dropout) << '\n'
-          << "learningRate=" << hexDouble(params.learningRate) << '\n'
-          << "maxEpochs=" << params.maxEpochs << '\n'
-          << "batchSize=" << params.batchSize << '\n'
-          << "patience=" << params.patience << '\n';
-    return ClassifierFactory(
-        [params](int num_classes, std::size_t feature_len,
-                 std::uint64_t seed) -> std::unique_ptr<Classifier> {
-            return std::make_unique<MlpClassifier>(num_classes, feature_len,
-                                                   params, seed);
-        },
-        canon.str());
 }
 
 ClassifierFactory

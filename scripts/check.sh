@@ -50,7 +50,12 @@
 #               test_sim_perf determinism suite, then a table1 smoke
 #               whose --explain table and schemaVersion-3 artifact must
 #               carry the per-stage sim counters, with the counter
-#               values identical across --threads and BF_SIMD.
+#               values identical across --threads and BF_SIMD. Then a
+#               memory leg: it prints the smoke's peakRssMb at
+#               --threads=1 and --threads=4 and fails when the second
+#               exceeds the first by more than 15 MB per extra worker
+#               (one interval buffer per worker measures 11.5-13 MB;
+#               two measured 17-22 MB).
 #   address   — full build + ctest under AddressSanitizer.
 #   undefined — full build + ctest under UBSan.
 #   thread    — full build + ctest under ThreadSanitizer; this covers
@@ -516,6 +521,20 @@ for stage in "${stages[@]}"; do
         # vacuously; require at least one nonzero eventsSimulated row.
         grep -Eq '"simEvents": [1-9]' "$pdir/t2.json"
         echo "== [sim-perf] per-stage sim counters are deterministic"
+        echo "== [sim-perf] peak RSS per extra worker"
+        "$builddir/bigfish" run table1_fingerprinting --smoke --threads=4 \
+            --json="$pdir/t4.json" > /dev/null
+        rss_of() { grep -oE '"peakRssMb": [0-9.]+' "$1" | grep -oE '[0-9.]+$'; }
+        rss1="$(rss_of "$pdir/t1.json")"
+        rss4="$(rss_of "$pdir/t4.json")"
+        echo "   peakRssMb: $rss1 at --threads=1, $rss4 at --threads=4"
+        per_worker_mb=15
+        if ! awk -v a="$rss1" -v b="$rss4" -v w="$per_worker_mb" \
+                'BEGIN { exit !(a > 0 && b - a <= 3 * w) }'; then
+            echo "--threads=4 peak RSS exceeds --threads=1 by more than" \
+                 "3 x $per_worker_mb MB" >&2
+            exit 1
+        fi
         ;;
       address|undefined|thread)
         san="$stage"

@@ -50,12 +50,17 @@ packBatch(const std::vector<Matrix> &inputs, const std::size_t *idx,
 } // namespace
 
 Label
-Classifier::predict(const std::vector<double> &x) const
+argmaxLabel(const std::vector<double> &scores)
 {
-    const auto scores = predictScores(x);
     panicIf(scores.empty(), "classifier returned no scores");
     return static_cast<Label>(
         std::max_element(scores.begin(), scores.end()) - scores.begin());
+}
+
+Label
+Classifier::predict(const std::vector<double> &x) const
+{
+    return argmaxLabel(predictScores(x));
 }
 
 CnnLstmParams
@@ -245,7 +250,7 @@ CnnLstmClassifier::fit(const Dataset &train, const Dataset &validation)
                     true);
                 batch_loss = SoftmaxCrossEntropy::lossAndGradientBatch(
                     logits, batch_labels, grad);
-                net_.backwardBatch(grad, batch);
+                net_.backwardBatchParamsOnly(grad, batch);
                 i = batch_end;
             } else {
                 for (; i < batch_end; ++i) {

@@ -34,6 +34,12 @@ struct EpochStats
     double valAccuracy = 0.0; ///< Validation accuracy after the epoch.
 };
 
+/**
+ * The label @p scores predict: the index of their first maximum, which
+ * is what Classifier::predict() returns.
+ */
+Label argmaxLabel(const std::vector<double> &scores);
+
 /** Common interface of all classifiers. */
 class Classifier
 {
@@ -50,7 +56,7 @@ class Classifier
     virtual std::vector<double>
     predictScores(const std::vector<double> &x) const = 0;
 
-    /** Argmax prediction. */
+    /** Argmax prediction: argmaxLabel(predictScores(x)). */
     Label predict(const std::vector<double> &x) const;
 
     /**

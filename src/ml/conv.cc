@@ -91,17 +91,14 @@ Conv1D::backward(const Matrix &grad_out)
     return backwardBatch(grad_out, 1);
 }
 
-Matrix
-Conv1D::backwardBatch(const Matrix &grad_out, std::size_t samples)
+void
+Conv1D::backwardBatchParamsOnly(const Matrix &grad_out, std::size_t samples)
 {
-    const std::size_t all_in_t = inCols_;
     const std::size_t out_cols = grad_out.cols();
     panicIf(grad_out.rows() != outChannels_,
             "Conv1D backward channel mismatch");
     panicIf(samples != samples_ || out_cols != patches_.cols(),
             "Conv1D backward called without matching forward");
-    const std::size_t in_t = all_in_t / samples;
-    const std::size_t out_t = out_cols / samples;
 
     // dW += dOut * patches^T, db += row-sums of dOut — both GEMM-shaped.
     accumulateMatmulTransB(gw_, grad_out, patches_);
@@ -116,6 +113,16 @@ Conv1D::backwardBatch(const Matrix &grad_out, std::size_t samples)
             gb[o] += acc;
         }
     }
+}
+
+Matrix
+Conv1D::backwardBatch(const Matrix &grad_out, std::size_t samples)
+{
+    Conv1D::backwardBatchParamsOnly(grad_out, samples);
+    const std::size_t all_in_t = inCols_;
+    const std::size_t out_cols = grad_out.cols();
+    const std::size_t in_t = all_in_t / samples;
+    const std::size_t out_t = out_cols / samples;
 
     // dPatches = W^T * dOut, then scatter-add windows back onto the
     // (channels x time) input grid (the col2im step), sample by sample.

@@ -32,6 +32,10 @@ class Conv1D : public Layer
                         bool train) override;
     Matrix backwardBatch(const Matrix &grad_out,
                          std::size_t samples) override;
+    /** dW += dOut * patches^T and db += row sums of dOut, skipping the
+     *  input gradient's W^T * dOut GEMM and col2im step. */
+    void backwardBatchParamsOnly(const Matrix &grad_out,
+                                 std::size_t samples) override;
     std::vector<Matrix *> params() override { return {&w_, &b_}; }
     std::vector<Matrix *> grads() override { return {&gw_, &gb_}; }
     std::string name() const override { return "conv1d"; }

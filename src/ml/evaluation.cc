@@ -46,7 +46,8 @@ scoreFold(const Classifier &model, const Dataset &data,
     for (std::size_t i : test) {
         out.scores.push_back(model.predictScores(data.features[i]));
         out.truths.push_back(data.labels[i]);
-        out.predictions.push_back(model.predict(data.features[i]));
+        // The scores just stored are what predict() would recompute.
+        out.predictions.push_back(argmaxLabel(out.scores.back()));
     }
     return out;
 }

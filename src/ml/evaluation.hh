@@ -89,8 +89,9 @@ std::unique_ptr<Classifier>
 trainFoldClassifier(const ClassifierFactory &factory, const Dataset &data,
                     const FoldSplit &split, std::uint64_t seed);
 
-/** Scores @p model on the given test indices. The ScoreFold stage
- *  body. */
+/** Scores @p model on the given test indices, each once: a
+ *  prediction is the argmaxLabel() of the scores stored beside it. The
+ *  ScoreFold stage body. */
 FoldScores scoreFold(const Classifier &model, const Dataset &data,
                      const std::vector<std::size_t> &test);
 

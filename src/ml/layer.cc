@@ -26,6 +26,12 @@ Layer::backwardBatch(const Matrix &, std::size_t)
     panic("layer '" + name() + "' has no batched backward");
 }
 
+void
+Layer::backwardBatchParamsOnly(const Matrix &grad_out, std::size_t samples)
+{
+    backwardBatch(grad_out, samples);
+}
+
 Matrix
 ReLU::forward(const Matrix &in, bool)
 {

@@ -67,6 +67,15 @@ class Layer
     virtual Matrix backwardBatch(const Matrix &grad_out,
                                  std::size_t samples);
 
+    /**
+     * backwardBatch() for a caller that never reads dLoss/dInput (the
+     * training step on a network's first layer): accumulates the same
+     * parameter gradients and may skip the input gradient. The default
+     * runs backwardBatch() and drops its result.
+     */
+    virtual void backwardBatchParamsOnly(const Matrix &grad_out,
+                                         std::size_t samples);
+
     /** Trainable parameter tensors (empty for stateless layers). */
     virtual std::vector<Matrix *> params() { return {}; }
 

@@ -60,6 +60,18 @@ Sequential::backwardBatch(const Matrix &grad_out, std::size_t samples)
     return g;
 }
 
+void
+Sequential::backwardBatchParamsOnly(const Matrix &grad_out,
+                                    std::size_t samples)
+{
+    if (layers_.empty())
+        return;
+    Matrix g = grad_out;
+    for (std::size_t i = layers_.size() - 1; i > 0; --i)
+        g = layers_[i]->backwardBatch(g, samples);
+    layers_.front()->backwardBatchParamsOnly(g, samples);
+}
+
 std::vector<Matrix *>
 Sequential::params()
 {

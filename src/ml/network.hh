@@ -41,6 +41,15 @@ class Sequential
     /** Backpropagates through the most recent forwardBatch(). */
     Matrix backwardBatch(const Matrix &grad_out, std::size_t samples);
 
+    /**
+     * backwardBatch() for the training step, which reads only parameter
+     * gradients: the first layer's input gradient is not computed
+     * (Layer::backwardBatchParamsOnly()). The gradients are bitwise
+     * those of backwardBatch().
+     */
+    void backwardBatchParamsOnly(const Matrix &grad_out,
+                                 std::size_t samples);
+
     /** All trainable parameter tensors. */
     std::vector<Matrix *> params();
 

@@ -68,9 +68,9 @@ FaultPlan::applyToTimeline(RunTimeline &timeline) const
             stall.arrival = static_cast<TimeNs>(
                 rng.uniform() * static_cast<double>(timeline.duration));
             stall.kind = InterruptKind::UntraceableStall;
-            stall.duration = static_cast<TimeNs>(
+            stall.setDuration(static_cast<TimeNs>(
                 rng.lognormal(static_cast<double>(config_.stallMedian),
-                              config_.stallSigma));
+                              config_.stallSigma)));
             stolen.push_back(stall);
         }
     }
@@ -81,7 +81,7 @@ FaultPlan::applyToTimeline(RunTimeline &timeline) const
     while (!stolen.empty() && stolen.back().arrival >= timeline.duration)
         stolen.pop_back();
     if (!stolen.empty() && stolen.back().end() > timeline.duration)
-        stolen.back().duration = timeline.duration - stolen.back().arrival;
+        stolen.back().setDuration(timeline.duration - stolen.back().arrival);
 }
 
 std::unique_ptr<timers::TimerModel>

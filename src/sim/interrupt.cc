@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "base/logging.hh"
 #include "sim/scratch.hh"
@@ -73,6 +74,14 @@ isTraceable(InterruptKind kind)
            kind != InterruptKind::NumKinds;
 }
 
+void
+durationOutOfRange(TimeNs duration)
+{
+    panic("stolen-interval duration " + std::to_string(duration) +
+          " ns is outside [0, " +
+          std::to_string(StolenInterval::kMaxDuration) + "]");
+}
+
 HandlerCostModel::HandlerCostModel()
 {
     // Medians chosen so the *total* gap (median + 1.5us context switch)
@@ -141,8 +150,53 @@ constexpr auto byArrival = [](const StolenInterval &a,
     return a.arrival < b.arrival;
 };
 
+/** Originals the streaming gather keeps behind its write position. A
+ *  power of two, so the slot is a mask. */
+constexpr std::uint32_t kGatherRing = 8192;
+/** Tags an order entry whose source is held in SimScratch::farSources. */
+constexpr std::uint32_t kFarSource = std::uint32_t{1} << 31;
+
 /**
- * Sorts intervals by arrival with a bucket sort: arrivals are
+ * Applies the bucket sort's order in place: output slot k takes the
+ * original element order[k], serialized behind slot k - 1 as
+ * normalizeTimeline() serializes its other paths (one pass over the
+ * stream instead of two). The walk goes up the output slots, so a
+ * source at or after k is still in place. One at most kGatherRing slots
+ * behind is read from a ring of the last kGatherRing originals the walk
+ * overwrote; every ring slot read was written earlier in the same walk.
+ * A source farther behind was copied to scratch.farSources before the
+ * walk began, and its order entry is tagged kFarSource. In synthesized
+ * timelines those are about 1 % of the stream, mostly timer ticks,
+ * which are emitted before everything else.
+ */
+void
+gatherInPlace(std::vector<StolenInterval> &stolen, SimScratch &scratch)
+{
+    const std::vector<std::uint32_t> &order = scratch.order;
+    const std::vector<StolenInterval> &far = scratch.farSources;
+    std::vector<StolenInterval> &ring = scratch.gatherRing;
+    ring.resize(kGatherRing);
+    TimeNs busy_until = 0;
+    for (std::size_t k = 0; k < stolen.size(); ++k) {
+        const std::uint32_t src = order[k];
+        const StolenInterval original = stolen[k];
+        StolenInterval moved;
+        if (src & kFarSource)
+            moved = far[src & ~kFarSource];
+        else if (src >= k)
+            moved = stolen[src];
+        else
+            moved = ring[src & (kGatherRing - 1)];
+        ring[k & (kGatherRing - 1)] = original;
+        moved.arrival = std::max(moved.arrival, busy_until);
+        busy_until = moved.end();
+        stolen[k] = moved;
+    }
+}
+
+/**
+ * Sorts intervals by arrival with a bucket sort, and serializes them
+ * (see gatherInPlace()): arrivals are
  * near-uniform over the run (the synthesizer emits them clustered by
  * activity step), so scattering into ~size/16 arrival-range buckets and
  * insertion-sorting each bucket is O(n) where a comparison sort was a
@@ -150,25 +204,33 @@ constexpr auto byArrival = [](const StolenInterval &a,
  * pure arithmetic on the arrival, so the result is deterministic and
  * independent of thread count.
  *
- * All three working buffers (scatter target, offsets, cursors) are
- * borrowed from the per-thread SimScratch arena: their capacity
- * survives across the (site, run) grid while every element read back
- * is written first, so results match the fresh-allocation code
- * byte-for-byte. The swap at the end donates the caller's old buffer
- * to the arena for the next cell.
+ * The sort runs on 32-bit element indices, not on the elements: the
+ * scatter writes each element's index into its bucket, and the bucket
+ * sorts compare `arrival` through the index. They make the same
+ * comparisons and the same moves the element sort made, so the
+ * permutation, ties included, is the element sort's. A streaming gather
+ * then applies it in place (see gatherInPlace()), so the timeline is
+ * never held twice.
+ *
+ * Every working buffer (order, offsets, cursors, the gather's ring and
+ * far-source copies) is borrowed from the per-thread SimScratch arena:
+ * their capacity survives across the (site, run) grid while every
+ * element read back is written first, so results match the
+ * fresh-allocation code byte-for-byte.
  */
 void
-bucketSortByArrival(std::vector<StolenInterval> &stolen,
-                    SimScratch &scratch, PerfCounters *perf)
+bucketSortAndSerialize(std::vector<StolenInterval> &stolen,
+                       SimScratch &scratch, PerfCounters *perf)
 {
+    const std::size_t n = stolen.size();
+    panicIf(n >= kFarSource, "timeline too long to sort by 31-bit index");
     TimeNs lo = stolen[0].arrival;
     TimeNs hi = lo;
     for (const StolenInterval &s : stolen) {
         lo = std::min(lo, s.arrival);
         hi = std::max(hi, s.arrival);
     }
-    const std::size_t buckets =
-        std::max<std::size_t>(stolen.size() / 16, 1);
+    const std::size_t buckets = std::max<std::size_t>(n / 16, 1);
     const double scale = static_cast<double>(buckets) /
                          (static_cast<double>(hi - lo) + 1.0);
     const auto bucket_of = [&](const StolenInterval &s) {
@@ -183,45 +245,61 @@ bucketSortByArrival(std::vector<StolenInterval> &stolen,
         ++offsets[bucket_of(s) + 1];
     for (std::size_t b = 1; b <= buckets; ++b)
         offsets[b] += offsets[b - 1];
-    std::vector<StolenInterval> &sorted = scratch.sorted;
-    sorted.resize(stolen.size());
+    std::vector<std::uint32_t> &order = scratch.order;
+    order.resize(n);
     {
         std::vector<std::size_t> &cursor = scratch.cursor;
         cursor.assign(offsets.begin(), offsets.end() - 1);
-        for (const StolenInterval &s : stolen)
-            sorted[cursor[bucket_of(s)]++] = s;
+        for (std::uint32_t i = 0; i < n; ++i)
+            order[cursor[bucket_of(stolen[i])]++] = i;
     }
+    const auto earlier = [&stolen](std::uint32_t a, std::uint32_t b) {
+        return stolen[a].arrival < stolen[b].arrival;
+    };
     // Buckets average ~16 elements: insertion sort handles those
     // allocation-free, while softirq-storm clusters that land many
     // intervals in one bucket fall back to std::sort. The fallback's
     // tie permutation is part of the bit-identity baseline (see the
     // tie-policy note on normalizeTimeline) — do not replace it with a
     // stable sort without re-recording reference traces.
+    //
+    // Once a bucket is sorted its output positions are final, so the
+    // same loop finds the sources the gather's ring will no longer hold
+    // (more than kGatherRing positions behind their output slot) and
+    // copies them aside while every element is still in place.
+    std::vector<StolenInterval> &far = scratch.farSources;
+    far.clear();
     for (std::size_t b = 0; b < buckets; ++b) {
-        const std::size_t len = offsets[b + 1] - offsets[b];
-        if (len < 2)
-            continue;
-        if (len > 48) {
-            std::sort(sorted.begin() +
-                          static_cast<std::ptrdiff_t>(offsets[b]),
-                      sorted.begin() +
-                          static_cast<std::ptrdiff_t>(offsets[b + 1]),
-                      byArrival);
-            continue;
-        }
-        for (std::size_t i = offsets[b] + 1; i < offsets[b + 1]; ++i) {
-            StolenInterval v = sorted[i];
-            std::size_t j = i;
-            while (j > offsets[b] && v.arrival < sorted[j - 1].arrival) {
-                sorted[j] = sorted[j - 1];
-                --j;
+        const std::size_t begin = offsets[b];
+        const std::size_t end = offsets[b + 1];
+        if (end - begin > 48) {
+            std::sort(order.begin() + static_cast<std::ptrdiff_t>(begin),
+                      order.begin() + static_cast<std::ptrdiff_t>(end),
+                      earlier);
+        } else {
+            for (std::size_t i = begin + 1; i < end; ++i) {
+                const std::uint32_t v = order[i];
+                const TimeNs at = stolen[v].arrival;
+                std::size_t j = i;
+                while (j > begin && at < stolen[order[j - 1]].arrival) {
+                    order[j] = order[j - 1];
+                    --j;
+                }
+                order[j] = v;
             }
-            sorted[j] = v;
+        }
+        for (std::size_t k = begin; k < end; ++k) {
+            const std::uint32_t src = order[k];
+            if (src + std::size_t{kGatherRing} < k) {
+                order[k] = kFarSource |
+                           static_cast<std::uint32_t>(far.size());
+                far.push_back(stolen[src]);
+            }
         }
     }
-    stolen.swap(sorted);
+    gatherInPlace(stolen, scratch);
     if (perf) {
-        perf->allocations += 3;
+        perf->allocations += 5;
         perf->bytesSorted += static_cast<long long>(
             stolen.size() * sizeof(StolenInterval));
     }
@@ -294,7 +372,9 @@ normalizeTimeline(std::vector<StolenInterval> &stolen, PerfCounters *perf)
             }
             mergeSortedTail(stolen, sorted_prefix, scratch, perf);
         } else {
-            bucketSortByArrival(stolen, SimScratch::local(), perf);
+            // Serialized as it is gathered: no clamp pass below.
+            bucketSortAndSerialize(stolen, SimScratch::local(), perf);
+            return;
         }
     }
     TimeNs busy_until = 0;

@@ -20,6 +20,7 @@
 #ifndef BF_SIM_INTERRUPT_HH
 #define BF_SIM_INTERRUPT_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,8 +30,9 @@
 
 namespace bigfish::sim {
 
-/** Every way the attacker's core can have time stolen from it. */
-enum class InterruptKind
+/** Every way the attacker's core can have time stolen from it. One byte,
+ *  so it packs beside the duration in a StolenInterval. */
+enum class InterruptKind : std::uint8_t
 {
     TimerTick,        ///< Local APIC timer (non-movable).
     NetworkRx,        ///< NIC device IRQ (movable).
@@ -70,21 +72,47 @@ bool isInterrupt(InterruptKind kind);
  */
 bool isTraceable(InterruptKind kind);
 
+/** Reports a duration StolenInterval::setDuration() cannot hold. */
+[[noreturn]] void durationOutOfRange(TimeNs duration);
+
 /**
  * One interval of time stolen from the attacker's core.
  *
  * `duration` includes the kernel-entry context-switch overhead; `arrival`
  * is when user execution pauses.
+ *
+ * The record is 16 bytes, because a worker holds the whole timeline of
+ * a 50 s Tor run (up to 0.82 M intervals): `duration` and `kind` share
+ * one 8-byte word as bit-fields. Reads use the members directly; every
+ * write of `duration` goes through setDuration(), which refuses a value
+ * the 56-bit field cannot hold instead of narrowing it.
  */
 struct StolenInterval
 {
+    /** Largest duration the 56-bit field holds (about 417 days). */
+    static constexpr TimeNs kMaxDuration = (TimeNs{1} << 55) - 1;
+
     TimeNs arrival = 0;
-    TimeNs duration = 0;
-    InterruptKind kind = InterruptKind::TimerTick;
+    TimeNs duration : 56 = 0;
+    InterruptKind kind : 8 = InterruptKind::TimerTick;
+
+    /** Stores @p d, which must lie in [0, kMaxDuration]. */
+    void
+    setDuration(TimeNs d)
+    {
+        if (d < 0 || d > kMaxDuration) [[unlikely]]
+            durationOutOfRange(d);
+        // The mask is the identity here; it shows -Wconversion that the
+        // value fits the field.
+        duration = d & kMaxDuration;
+    }
 
     /** Time at which user execution resumes. */
     TimeNs end() const { return arrival + duration; }
 };
+
+static_assert(sizeof(StolenInterval) == 16,
+              "duration and kind must share one word");
 
 /** Parameters of one kind's right-skewed handler-cost distribution. */
 struct HandlerCostParams
@@ -145,6 +173,11 @@ class HandlerCostModel
  * arrives while another handler is still running it queues and executes
  * immediately afterwards, exactly as a single core would process it.
  *
+ * The sort is in place: a long unsorted stream is bucket-sorted as
+ * 32-bit indices and the permutation is then applied to @p stolen
+ * itself, so the call holds 4 extra bytes per interval, never a second
+ * copy of the stream (DESIGN.md §13).
+ *
  * Tie policy (audited, DESIGN.md §13): equal arrivals are *common* —
  * tick-piggybacked softirq/IRQ-work entries arrive at exactly the
  * tick's end — and the ordering comparator is a valid strict weak
@@ -152,10 +185,13 @@ class HandlerCostModel
  * is stable (prefix entries precede appended entries on ties, the
  * std::inplace_merge contract). The bucket-sort fallback's std::sort
  * leaves tie order to the standard library's (unstable, but
- * deterministic for a fixed libstdc++ and input) introsort; that
- * permutation is part of the repository's recorded bit-identity
- * baseline and is deliberately preserved — see the property tests in
- * tests/sim_test.cc (Normalize, TieHeavy*).
+ * deterministic for a fixed libstdc++ and input) introsort; it runs on
+ * indices and compares arrivals through them, so it makes the same
+ * comparisons and moves as a sort of the elements and yields the same
+ * permutation. That permutation is part of the repository's recorded
+ * bit-identity baseline and is deliberately preserved — see the
+ * property tests in tests/sim_test.cc (Normalize, TieHeavy*,
+ * InPlaceSortMatchesTwoBufferReference).
  *
  * @param perf When non-null, accumulates sort/merge work (bytesSorted,
  *             arena acquisitions) into the counters.

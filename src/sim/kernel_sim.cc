@@ -314,11 +314,11 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
         StolenInterval s;
         s.arrival = at;
         s.kind = kind;
-        s.duration = static_cast<TimeNs>(
+        s.setDuration(static_cast<TimeNs>(
             static_cast<double>(
                 config_.handlerCosts.sample(kind, rng, config_.vmIsolation,
                                         work)) *
-            config_.os.handlerScale);
+            config_.os.handlerScale));
         out.push_back(s);
         return s.end();
     };
@@ -388,9 +388,9 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
             StolenInterval s;
             s.arrival = e.at;
             s.kind = InterruptKind::Preemption;
-            s.duration = static_cast<TimeNs>(std::min(
+            s.setDuration(static_cast<TimeNs>(std::min(
                 rng.lognormal(250.0 * kUsec, 0.8),
-                static_cast<double>(config_.timesliceNs)));
+                static_cast<double>(config_.timesliceNs))));
             out.push_back(s);
             break;
           }
@@ -410,7 +410,7 @@ KernelSim::run(const ActivityTimeline &activity, Rng &rng,
     while (!out.empty() && out.back().arrival >= timeline.duration)
         out.pop_back();
     if (!out.empty() && out.back().end() > timeline.duration)
-        out.back().duration = timeline.duration - out.back().arrival;
+        out.back().setDuration(timeline.duration - out.back().arrival);
     return timeline;
 }
 

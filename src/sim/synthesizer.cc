@@ -51,11 +51,11 @@ InterruptSynthesizer::emitPoisson(InterruptKind kind, double expected_count,
             lo + static_cast<TimeNs>(rng.uniform() *
                                      static_cast<double>(hi - lo));
         interval.kind = kind;
-        interval.duration = static_cast<TimeNs>(
+        interval.setDuration(static_cast<TimeNs>(
             static_cast<double>(
                 config_.handlerCosts.sample(kind, rng, config_.vmIsolation,
                                         work_scale)) *
-            config_.os.handlerScale);
+            config_.os.handlerScale));
         out.push_back(interval);
 
         // A network RX IRQ taken on this core immediately raises a NET_RX
@@ -64,12 +64,12 @@ InterruptSynthesizer::emitPoisson(InterruptKind kind, double expected_count,
             StolenInterval softirq;
             softirq.arrival = interval.end();
             softirq.kind = InterruptKind::SoftirqNetRx;
-            softirq.duration = static_cast<TimeNs>(
+            softirq.setDuration(static_cast<TimeNs>(
                 static_cast<double>(
                     config_.handlerCosts.sample(InterruptKind::SoftirqNetRx, rng,
                                             config_.vmIsolation,
                                             work_scale)) *
-                config_.os.handlerScale);
+                config_.os.handlerScale));
             out.push_back(softirq);
         }
     }
@@ -89,11 +89,11 @@ InterruptSynthesizer::emitTicks(const ActivityTimeline &activity, Rng &rng,
         tick.kind = InterruptKind::TimerTick;
         // The tick handler does more work when deferred work is pending.
         const double work = 1.0 + 0.5 * sample.softirqWork;
-        tick.duration = static_cast<TimeNs>(
+        tick.setDuration(static_cast<TimeNs>(
             static_cast<double>(
                 config_.handlerCosts.sample(InterruptKind::TimerTick, rng,
                                         config_.vmIsolation, work)) *
-            config_.os.handlerScale);
+            config_.os.handlerScale));
         out.push_back(tick);
 
         // Timer softirq processing piggybacks on busy ticks.
@@ -101,12 +101,12 @@ InterruptSynthesizer::emitTicks(const ActivityTimeline &activity, Rng &rng,
             StolenInterval softirq;
             softirq.arrival = tick.end();
             softirq.kind = InterruptKind::SoftirqTimer;
-            softirq.duration = static_cast<TimeNs>(
+            softirq.setDuration(static_cast<TimeNs>(
                 static_cast<double>(
                     config_.handlerCosts.sample(InterruptKind::SoftirqTimer, rng,
                                             config_.vmIsolation,
                                             1.0 + sample.softirqWork)) *
-                config_.os.handlerScale);
+                config_.os.handlerScale));
             out.push_back(softirq);
         }
 
@@ -117,11 +117,11 @@ InterruptSynthesizer::emitTicks(const ActivityTimeline &activity, Rng &rng,
             StolenInterval irq_work;
             irq_work.arrival = tick.end();
             irq_work.kind = InterruptKind::IrqWork;
-            irq_work.duration = static_cast<TimeNs>(
+            irq_work.setDuration(static_cast<TimeNs>(
                 static_cast<double>(
                     config_.handlerCosts.sample(InterruptKind::IrqWork, rng,
                                             config_.vmIsolation, 1.0)) *
-                config_.os.handlerScale);
+                config_.os.handlerScale));
             out.push_back(irq_work);
         }
     }
@@ -239,12 +239,12 @@ InterruptSynthesizer::synthesize(const ActivityTimeline &activity,
                 StolenInterval softirq;
                 softirq.arrival = at;
                 softirq.kind = InterruptKind::SoftirqNetRx;
-                softirq.duration = static_cast<TimeNs>(
+                softirq.setDuration(static_cast<TimeNs>(
                     static_cast<double>(
                         config_.handlerCosts.sample(
                         InterruptKind::SoftirqNetRx, rng,
                         config_.vmIsolation, rng.uniform(0.8, 1.6))) *
-                    config_.os.handlerScale);
+                    config_.os.handlerScale));
                 at = softirq.end() + static_cast<TimeNs>(
                                          rng.exponential(12.0 * kUsec));
                 out.push_back(softirq);
@@ -286,9 +286,9 @@ InterruptSynthesizer::synthesize(const ActivityTimeline &activity,
                 // Interactive victim threads run in short bursts, not
                 // full timeslices: a spinning attacker loses a few
                 // hundred microseconds per displacement.
-                preempt.duration = static_cast<TimeNs>(std::min(
+                preempt.setDuration(static_cast<TimeNs>(std::min(
                     rng.lognormal(250.0 * kUsec, 0.8),
-                    static_cast<double>(config_.timesliceNs)));
+                    static_cast<double>(config_.timesliceNs))));
                 out.push_back(preempt);
             }
         }
@@ -327,27 +327,20 @@ InterruptSynthesizer::synthesize(const ActivityTimeline &activity,
         }
     }
 
-    // The bucket sort scatters the stream into scratch.sorted and swaps
-    // it in, so that is normally the buffer lent out below. Size it now,
-    // headroom included, dropping its stale contents instead of letting
-    // a growing resize copy them: growing it after the sort would copy
-    // the whole timeline while both buffers are live.
-    const std::size_t lent = out.size() + kAppendHeadroom;
-    if (scratch.sorted.capacity() < lent) {
-        scratch.sorted = {};
-        scratch.sorted.reserve(lent);
-    }
     normalizeTimeline(out, perf);
     // Clamp anything pushed past the end of the run by serialization.
     while (!out.empty() && out.back().arrival >= timeline.duration)
         out.pop_back();
     if (!out.empty() && out.back().end() > timeline.duration)
-        out.back().duration = timeline.duration - out.back().arrival;
+        out.back().setDuration(timeline.duration - out.back().arrival);
 
-    // Lend the arena buffer to the result instead of copying it out.
+    // The stream was sorted in place, so the emission buffer is the
+    // timeline: lend it to the result instead of copying it out.
     // Headroom for the few intervals later stages append (browser and
     // fault stalls) keeps those appends from regrowing it; the caller
     // gives the buffer back with giveBack() once the timeline is done.
+    // Only a stream that ended within the headroom of the buffer's
+    // capacity is copied here.
     if (out.capacity() - out.size() < kAppendHeadroom)
         out.reserve(out.size() + kAppendHeadroom);
     timeline.stolen.swap(out);

@@ -49,9 +49,10 @@ class InterruptSynthesizer
     /**
      * Synthesizes the attacker-core schedule for one run.
      *
-     * The timeline's intervals are built in the per-thread SimScratch
-     * arena, and the arena's buffer is then lent to the result: no
-     * copy, and the buffer keeps free slots so the stalls later stages
+     * The timeline's intervals are built and sorted in place in the
+     * per-thread SimScratch arena, and the arena's buffer is then lent
+     * to the result: no copy, no second timeline-sized buffer, and the
+     * buffer keeps free slots so the stalls later stages
      * append (web::applyBrowserRuntime(), FaultPlan::applyToTimeline())
      * do not regrow it. Hand it back with sim::giveBack() once the
      * timeline is done, and a warm thread allocates no interval buffer

@@ -89,9 +89,9 @@ applyBrowserRuntime(sim::RunTimeline &timeline,
             stall.arrival = static_cast<TimeNs>(
                 rng.uniform() * static_cast<double>(timeline.duration));
             stall.kind = sim::InterruptKind::Preemption;
-            stall.duration = static_cast<TimeNs>(
+            stall.setDuration(static_cast<TimeNs>(
                 rng.lognormal(static_cast<double>(browser.stallMedian),
-                              0.6));
+                              0.6)));
             timeline.stolen.push_back(stall);
         }
         sim::normalizeTimeline(timeline.stolen);
@@ -100,8 +100,8 @@ applyBrowserRuntime(sim::RunTimeline &timeline,
             timeline.stolen.pop_back();
         if (!timeline.stolen.empty() &&
             timeline.stolen.back().end() > timeline.duration) {
-            timeline.stolen.back().duration =
-                timeline.duration - timeline.stolen.back().arrival;
+            timeline.stolen.back().setDuration(
+                timeline.duration - timeline.stolen.back().arrival);
         }
     }
 }

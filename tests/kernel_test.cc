@@ -295,6 +295,53 @@ TEST(BatchedNetwork, GradientsMatchPerSampleAccumulation)
         expectNear(*bg[i], *sg[i], 1e-3f);
 }
 
+TEST(BatchedNetwork, ParamsOnlyBackwardTrainsBitwiseLikeFullBackward)
+{
+    // The training step reads only parameter gradients, so it skips the
+    // first layer's input gradient (conv1's W^T * dOut GEMM and col2im).
+    // Weights after several Adam steps must match the full backward bit
+    // for bit.
+    constexpr std::size_t kSamples = 6, kChannels = 2, kSteps = 24;
+    constexpr int kTrainSteps = 8;
+    Sequential full = makeToyNet(41);
+    Sequential skip = makeToyNet(41);
+    Adam full_adam(1e-2);
+    Adam skip_adam(1e-2);
+    const std::vector<Matrix *> full_params = full.params();
+    const std::vector<Matrix *> skip_params = skip.params();
+    Rng rng(17);
+    std::vector<Label> labels(kSamples);
+    Matrix grad;
+    for (int step = 0; step < kTrainSteps; ++step) {
+        const Matrix batch = randomMatrix(kChannels, kSamples * kSteps, rng);
+        for (std::size_t s = 0; s < kSamples; ++s)
+            labels[s] = static_cast<Label>((s + static_cast<std::size_t>(
+                                                     step)) % 3);
+
+        full.zeroGrads();
+        const Matrix full_logits = full.forwardBatch(batch, kSamples, true);
+        SoftmaxCrossEntropy::lossAndGradientBatch(full_logits, labels, grad);
+        full.backwardBatch(grad, kSamples);
+        full_adam.step(full_params, full.grads(),
+                       1.0 / static_cast<double>(kSamples));
+
+        skip.zeroGrads();
+        const Matrix skip_logits = skip.forwardBatch(batch, kSamples, true);
+        SoftmaxCrossEntropy::lossAndGradientBatch(skip_logits, labels, grad);
+        skip.backwardBatchParamsOnly(grad, kSamples);
+        skip_adam.step(skip_params, skip.grads(),
+                       1.0 / static_cast<double>(kSamples));
+    }
+    ASSERT_EQ(full_params.size(), skip_params.size());
+    for (std::size_t p = 0; p < full_params.size(); ++p) {
+        const Matrix &a = *full_params[p];
+        const Matrix &b = *skip_params[p];
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_EQ(a.data()[i], b.data()[i]) << "tensor " << p << " @" << i;
+    }
+}
+
 // --- Cross-ISA bit-identity (DESIGN.md §10) ----------------------------
 
 /** Restores the dispatch Tag a test swept away from. */

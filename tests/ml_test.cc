@@ -665,6 +665,48 @@ TEST(SerializeErrors, LoadWeightsOrDieStillAbortsOnBadInput)
                 ::testing::ExitedWithCode(1), "bigfish-weights");
 }
 
+/** Scores each sample by a fixed rule with tied maxima, and counts how
+ *  often it is asked to. */
+class CountingClassifier : public Classifier
+{
+  public:
+    void fit(const Dataset &, const Dataset &) override {}
+
+    std::vector<double>
+    predictScores(const std::vector<double> &x) const override
+    {
+        ++calls;
+        // Classes 0 and 2 always tie: the first maximum must win.
+        return {x[0], x[1], x[0]};
+    }
+
+    mutable int calls = 0;
+};
+
+TEST(ScoreFold, PredictsTheArgmaxOfTheStoredScoresScoringEachSampleOnce)
+{
+    Dataset data;
+    data.numClasses = 3;
+    Rng rng(5);
+    for (int i = 0; i < 40; ++i) {
+        const double a = std::floor(rng.uniform() * 4.0);
+        const double b = std::floor(rng.uniform() * 4.0);
+        data.add({a, b}, i % 3);
+    }
+    const std::vector<std::size_t> test = {3, 0, 17, 17, 39, 8, 22};
+    const CountingClassifier model;
+    const FoldScores out = scoreFold(model, data, test);
+    EXPECT_EQ(model.calls, static_cast<int>(test.size()));
+    ASSERT_EQ(out.scores.size(), test.size());
+    ASSERT_EQ(out.predictions.size(), test.size());
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        EXPECT_EQ(out.truths[i], data.labels[test[i]]);
+        EXPECT_EQ(out.predictions[i], argmaxLabel(out.scores[i]));
+        EXPECT_EQ(out.predictions[i],
+                  model.predict(data.features[test[i]]));
+    }
+}
+
 TEST(OpenWorldEval, ReportsSplitMetrics)
 {
     // Classes 0..2 sensitive, class 3 non-sensitive.

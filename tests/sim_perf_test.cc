@@ -6,8 +6,9 @@
  * replayed from stage-cache collection chunks report zero because the
  * counters measure work performed, exactly like cpuSeconds. The
  * SimScratch tests check the arena's lent interval buffer (sim/scratch.hh
- * rule 4): a warm worker allocates none, and whether a buffer came back
- * never changes a timeline.
+ * rule 4): a warm worker allocates none, a cold one never holds two
+ * timeline-sized ones, and whether a buffer came back never changes a
+ * timeline.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <new>
+#include <set>
 
 #include "base/simd.hh"
 #include "base/thread_pool.hh"
@@ -27,12 +29,55 @@
 // Allocation tracking for the arena tests: while this thread has
 // tracking armed, every operator new of at least kLargeAllocation bytes
 // is counted, so a test can prove a warm worker's cell allocates no
-// interval buffer.
+// interval buffer. While a thread has block logging armed, each of its
+// large allocations and the free of each logged block are recorded in
+// order, so a test can replay how many large blocks were live at once.
 namespace {
 constexpr std::size_t kLargeAllocation = std::size_t{1} << 20;
 thread_local bool tTrackLarge = false;
 std::atomic<long long> gLargeAllocations{0};
 std::atomic<std::size_t> gLargestTracked{0};
+
+/** One logged event: a large allocation, or (size 0) its free. */
+struct BlockEvent
+{
+    const void *ptr = nullptr;
+    std::size_t size = 0;
+};
+constexpr std::size_t kMaxBlockEvents = 4096;
+// Written only by the one thread that has logging armed.
+thread_local bool tLogBlocks = false;
+BlockEvent gBlockEvents[kMaxBlockEvents];
+std::size_t gBlockEventCount = 0;
+bool gBlockLogOverflow = false;
+
+void
+logBlockEvent(const void *ptr, std::size_t size)
+{
+    if (gBlockEventCount == kMaxBlockEvents) {
+        gBlockLogOverflow = true;
+        return;
+    }
+    gBlockEvents[gBlockEventCount++] = {ptr, size};
+}
+
+/** True when @p ptr is a logged block that is not yet freed. */
+bool
+isLoggedBlock(const void *ptr)
+{
+    for (std::size_t i = gBlockEventCount; i-- > 0;) {
+        if (gBlockEvents[i].ptr == ptr)
+            return gBlockEvents[i].size != 0;
+    }
+    return false;
+}
+
+void
+noteFree(void *p)
+{
+    if (tLogBlocks && p != nullptr && isLoggedBlock(p))
+        logBlockEvent(p, 0);
+}
 } // namespace
 
 void *
@@ -46,8 +91,11 @@ operator new(std::size_t size)
                !gLargestTracked.compare_exchange_weak(seen, size))
             ;
     }
-    if (void *p = std::malloc(size == 0 ? 1 : size))
+    if (void *p = std::malloc(size == 0 ? 1 : size)) {
+        if (tLogBlocks && size >= kLargeAllocation)
+            logBlockEvent(p, size);
         return p;
+    }
     throw std::bad_alloc();
 }
 
@@ -58,12 +106,14 @@ operator new(std::size_t size)
 void
 operator delete(void *p) noexcept
 {
+    noteFree(p);
     std::free(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
+    noteFree(p);
     std::free(p);
 }
 #pragma GCC diagnostic pop
@@ -121,8 +171,8 @@ TEST(SimPerfCounters, PinnedSpecProducesExactCounts)
     const sim::PerfCounters perf = sweepCounters();
     EXPECT_EQ(perf.eventsSimulated, 240551);
     EXPECT_EQ(perf.interruptsSynthesized, 236982);
-    EXPECT_EQ(perf.allocations, 36);
-    EXPECT_EQ(perf.bytesSorted, 5687880);
+    EXPECT_EQ(perf.allocations, 48);
+    EXPECT_EQ(perf.bytesSorted, 3791920);
     EXPECT_FALSE(perf.empty());
 }
 
@@ -185,7 +235,7 @@ TEST(SimPerfCounters, ChunkReplayedCellsReportZero)
     ASSERT_EQ(cold_collect.name, "collect");
     // The pipeline collects exactly the pinned sweep.
     EXPECT_EQ(cold_collect.sim.eventsSimulated, 240551);
-    EXPECT_EQ(cold_collect.sim.bytesSorted, 5687880);
+    EXPECT_EQ(cold_collect.sim.bytesSorted, 3791920);
 
     // A featurization-only change misses the featurized entry, so the
     // Collect stage runs again — entirely from its chunks.
@@ -282,10 +332,10 @@ TEST(SimScratch, WarmWorkerAllocatesNoIntervalBuffer)
         attack::AttackerKind::SweepCounting};
     const auto warm = collector.collectOneMulti(catalog.site(1), 0, attackers);
     ASSERT_TRUE(warm[0].isOk()) << warm[0].status().toString();
-    // The buffer came back to this thread's arena, and it is Tor-sized.
-    ASSERT_GE(sim::SimScratch::local().emit.capacity() *
-                  sizeof(sim::StolenInterval),
-              std::size_t{8} * kLargeAllocation);
+    // The buffer came back to this thread's arena, and it is Tor-sized:
+    // this cell emits about 0.41 M intervals.
+    ASSERT_GE(sim::SimScratch::local().emit.capacity(),
+              std::size_t{400000});
 
     std::vector<Result<attack::Trace>> again;
     long long large = 0;
@@ -303,6 +353,74 @@ TEST(SimScratch, WarmWorkerAllocatesNoIntervalBuffer)
         EXPECT_EQ(again[a].value().counts, warm[a].value().counts);
         EXPECT_EQ(again[a].value().wallTimes, warm[a].value().wallTimes);
     }
+}
+
+/** Logs this thread's large blocks while in scope (see logBlockEvent). */
+class BlockLog
+{
+  public:
+    BlockLog()
+    {
+        gBlockEventCount = 0;
+        gBlockLogOverflow = false;
+        tLogBlocks = true;
+    }
+    ~BlockLog() { tLogBlocks = false; }
+    BlockLog(const BlockLog &) = delete;
+    BlockLog &operator=(const BlockLog &) = delete;
+};
+
+/** Most blocks of at least @p bytes that the log shows live at once. */
+int
+mostLiveBlocksOfAtLeast(std::size_t bytes)
+{
+    std::set<const void *> live;
+    std::size_t most = 0;
+    for (std::size_t i = 0; i < gBlockEventCount; ++i) {
+        const BlockEvent &e = gBlockEvents[i];
+        if (e.size == 0)
+            live.erase(e.ptr);
+        else if (e.size >= bytes)
+            live.insert(e.ptr);
+        most = std::max(most, live.size());
+    }
+    return static_cast<int>(most);
+}
+
+TEST(SimScratch, ColdTorCellNeverHoldsTwoTimelineSizedBuffers)
+{
+    // The bucket sort orders the emission buffer in place, so a worker's
+    // first Tor cell never holds two interval buffers that can each hold
+    // the whole emitted stream. A scatter target beside the emission
+    // buffer would be a second.
+    const TraceCollector collector(torConfig());
+    const web::SiteCatalog catalog(2, kCatalogSeed);
+    const web::SiteSignature &site = catalog.site(1);
+    const attack::AttackerKind attackers[] = {
+        attack::AttackerKind::LoopCounting,
+        attack::AttackerKind::SweepCounting};
+    // Empty this thread's arena, so the cell is cold.
+    sim::SimScratch::local() = sim::SimScratch{};
+    std::vector<Result<attack::Trace>> traces;
+    {
+        BlockLog log;
+        traces = collector.collectOneMulti(site, 0, attackers);
+    }
+    ASSERT_FALSE(gBlockLogOverflow);
+    ASSERT_EQ(traces.size(), 2u);
+    ASSERT_TRUE(traces[0].isOk()) << traces[0].status().toString();
+
+    // eventsSimulated counts the emitted intervals plus one event per
+    // activity step, so the stream the sort ordered is the difference.
+    sim::PerfCounters perf;
+    sim::RunTimeline timeline = collector.synthesizeTimeline(site, 0, &perf);
+    const auto emitted = static_cast<std::size_t>(perf.eventsSimulated) -
+                         timeline.iterCostFactor.size();
+    sim::giveBack(timeline);
+    const std::size_t stream_bytes = emitted * sizeof(sim::StolenInterval);
+    ASSERT_GE(stream_bytes, kLargeAllocation);
+    EXPECT_EQ(mostLiveBlocksOfAtLeast(stream_bytes), 1)
+        << emitted << " intervals emitted";
 }
 
 TEST(SimScratch, TimelineIsTheSameWhetherOrNotTheBufferCameBack)

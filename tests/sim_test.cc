@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
 
 #include "attack/attacker.hh"
+#include "core/collector.hh"
 #include "sim/activity.hh"
 #include "sim/engine.hh"
 #include "sim/interrupt.hh"
@@ -23,6 +25,7 @@
 #include "sim/synthesizer.hh"
 #include "stats/descriptive.hh"
 #include "timers/timer.hh"
+#include "web/catalog.hh"
 
 namespace bigfish::sim {
 namespace {
@@ -170,7 +173,7 @@ tieHeavyStream(std::size_t groups, std::size_t per_group,
         for (std::size_t i = 0; i < per_group; ++i) {
             StolenInterval s;
             s.arrival = at; // Every entry in the group ties.
-            s.duration = 100 + static_cast<TimeNs>(rng.uniform() * 900.0);
+            s.setDuration(100 + static_cast<TimeNs>(rng.uniform() * 900.0));
             s.kind = kinds[i % (sizeof(kinds) / sizeof(kinds[0]))];
             stolen.push_back(s);
         }
@@ -221,14 +224,14 @@ TEST(NormalizeTimeline, TiedTailEntriesStayBehindTiedPrefixEntries)
     for (int i = 0; i < 40; ++i) {
         StolenInterval s;
         s.arrival = 1000 * (i + 1);
-        s.duration = 10;
+        s.setDuration(10);
         s.kind = InterruptKind::TimerTick; // Marks "prefix".
         stolen.push_back(s);
     }
     for (int i = 0; i < 10; ++i) {
         StolenInterval s;
         s.arrival = 1000 * (4 * i + 1); // Ties an existing prefix arrival.
-        s.duration = 10;
+        s.setDuration(10);
         s.kind = InterruptKind::NetworkRx; // Marks "appended tail".
         stolen.push_back(s);
     }
@@ -243,6 +246,254 @@ TEST(NormalizeTimeline, TiedTailEntriesStayBehindTiedPrefixEntries)
                 << "tail entry overtook its tied prefix entry at " << i;
         }
     }
+}
+
+/**
+ * The two-buffer bucket sort normalizeTimeline() used before it sorted
+ * in place: scatter the elements into a second buffer by arrival
+ * bucket, insertion-sort buckets of up to 48 and std::sort larger ones.
+ */
+void
+referenceBucketSort(std::vector<StolenInterval> &stolen)
+{
+    TimeNs lo = stolen[0].arrival;
+    TimeNs hi = lo;
+    for (const StolenInterval &s : stolen) {
+        lo = std::min(lo, s.arrival);
+        hi = std::max(hi, s.arrival);
+    }
+    const std::size_t buckets =
+        std::max<std::size_t>(stolen.size() / 16, 1);
+    const double scale = static_cast<double>(buckets) /
+                         (static_cast<double>(hi - lo) + 1.0);
+    const auto bucket_of = [&](const StolenInterval &s) {
+        return std::min<std::size_t>(
+            static_cast<std::size_t>(
+                static_cast<double>(s.arrival - lo) * scale),
+            buckets - 1);
+    };
+    std::vector<std::size_t> offsets(buckets + 1, 0);
+    for (const StolenInterval &s : stolen)
+        ++offsets[bucket_of(s) + 1];
+    for (std::size_t b = 1; b <= buckets; ++b)
+        offsets[b] += offsets[b - 1];
+    std::vector<StolenInterval> sorted(stolen.size());
+    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (const StolenInterval &s : stolen)
+        sorted[cursor[bucket_of(s)]++] = s;
+    const auto by_arrival = [](const StolenInterval &a,
+                               const StolenInterval &b) {
+        return a.arrival < b.arrival;
+    };
+    for (std::size_t b = 0; b < buckets; ++b) {
+        const std::size_t len = offsets[b + 1] - offsets[b];
+        if (len < 2)
+            continue;
+        if (len > 48) {
+            std::sort(sorted.begin() +
+                          static_cast<std::ptrdiff_t>(offsets[b]),
+                      sorted.begin() +
+                          static_cast<std::ptrdiff_t>(offsets[b + 1]),
+                      by_arrival);
+            continue;
+        }
+        for (std::size_t i = offsets[b] + 1; i < offsets[b + 1]; ++i) {
+            StolenInterval v = sorted[i];
+            std::size_t j = i;
+            while (j > offsets[b] && v.arrival < sorted[j - 1].arrival) {
+                sorted[j] = sorted[j - 1];
+                --j;
+            }
+            sorted[j] = v;
+        }
+    }
+    stolen.swap(sorted);
+}
+
+/** normalizeTimeline() as it was with the two-buffer sort. */
+std::vector<StolenInterval>
+referenceNormalize(std::vector<StolenInterval> stolen)
+{
+    const auto by_arrival = [](const StolenInterval &a,
+                               const StolenInterval &b) {
+        return a.arrival < b.arrival;
+    };
+    if (stolen.size() > 1) {
+        std::size_t prefix = 1;
+        while (prefix < stolen.size() &&
+               stolen[prefix].arrival >= stolen[prefix - 1].arrival)
+            ++prefix;
+        const std::size_t tail = stolen.size() - prefix;
+        const auto mid = stolen.begin() + static_cast<std::ptrdiff_t>(prefix);
+        if (tail > 256) {
+            referenceBucketSort(stolen);
+        } else if (tail > 0) {
+            std::sort(mid, stolen.end(), by_arrival);
+            std::inplace_merge(stolen.begin(), mid, stolen.end(),
+                               by_arrival);
+        }
+    }
+    TimeNs busy_until = 0;
+    for (StolenInterval &interval : stolen) {
+        interval.arrival = std::max(interval.arrival, busy_until);
+        busy_until = interval.end();
+    }
+    return stolen;
+}
+
+/** An interval with a distinct duration and kind per @p id, so a tie
+ *  broken the other way shows in the comparison. */
+StolenInterval
+taggedInterval(TimeNs arrival, std::size_t id)
+{
+    StolenInterval s;
+    s.arrival = arrival;
+    s.setDuration(1 + static_cast<TimeNs>(id % 977));
+    s.kind = static_cast<InterruptKind>(id % kNumInterruptKinds);
+    return s;
+}
+
+/** Elements whose sorted slot is their index plus @p shift (mod n):
+ *  from slot @p shift on, every source is exactly @p shift behind. */
+std::vector<StolenInterval>
+rotatedStream(std::size_t n, std::size_t shift)
+{
+    std::vector<StolenInterval> stolen;
+    for (std::size_t i = 0; i < n; ++i)
+        stolen.push_back(taggedInterval(
+            static_cast<TimeNs>((i + shift) % n) * 10, i));
+    return stolen;
+}
+
+/** Softirq-storm trains: dozens of near-back-to-back entries per
+ *  cluster, so buckets overflow into the std::sort fallback. */
+std::vector<StolenInterval>
+stormStream(std::size_t storms, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<StolenInterval> stolen;
+    for (std::size_t i = 0; i < storms; ++i) {
+        TimeNs at = static_cast<TimeNs>(rng.uniform() * 5e9);
+        const int train = 1 + rng.poisson(60.0);
+        for (int k = 0; k < train; ++k) {
+            stolen.push_back(taggedInterval(at, stolen.size()));
+            at += static_cast<TimeNs>(rng.uniform() * 3.0) * kUsec;
+        }
+    }
+    return stolen;
+}
+
+/** A synthesized Tor timeline put back in the order the synthesizer
+ *  emits it: timer ticks with their piggybacked softirq and IRQ-work
+ *  entries first, those entries tied at the tick's end, then the rest. */
+std::vector<StolenInterval>
+torEmissionOrder()
+{
+    core::CollectionConfig config;
+    config.seed = 2022;
+    config.browser = web::BrowserProfile::torBrowser();
+    const core::TraceCollector collector(config);
+    const web::SiteCatalog catalog(1, 7);
+    RunTimeline timeline = collector.synthesizeTimeline(catalog.site(0), 0);
+    std::vector<StolenInterval> stolen = timeline.stolen;
+    const auto is_tick_work = [](const StolenInterval &s) {
+        return s.kind == InterruptKind::TimerTick ||
+               s.kind == InterruptKind::SoftirqTimer ||
+               s.kind == InterruptKind::IrqWork;
+    };
+    std::stable_partition(stolen.begin(), stolen.end(), is_tick_work);
+    TimeNs tick_end = 0;
+    for (StolenInterval &s : stolen) {
+        if (!is_tick_work(s))
+            break;
+        if (s.kind == InterruptKind::TimerTick)
+            tick_end = s.end();
+        else
+            s.arrival = tick_end;
+    }
+    return stolen;
+}
+
+TEST(NormalizeTimeline, InPlaceSortMatchesTwoBufferReference)
+{
+    // The bucket sort now orders element indices and applies the
+    // permutation in place through a ring of recently overwritten
+    // elements plus copies of sources the ring has dropped. Every tie
+    // must still come out in the two-buffer sort's order.
+    const auto expect_reference = [](const std::vector<StolenInterval> &in,
+                                     const std::string &what) {
+        std::vector<StolenInterval> got = in;
+        normalizeTimeline(got);
+        const std::vector<StolenInterval> want = referenceNormalize(in);
+        if (got.size() != want.size()) {
+            ADD_FAILURE() << what << ": " << got.size() << " intervals, "
+                          << want.size() << " expected";
+            return false;
+        }
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            if (got[i].arrival != want[i].arrival ||
+                got[i].duration != want[i].duration ||
+                got[i].kind != want[i].kind) {
+                ADD_FAILURE() << what << ": first difference at " << i
+                              << " (arrival " << got[i].arrival << ", "
+                              << want[i].arrival << " expected)";
+                return false;
+            }
+        }
+        return true;
+    };
+
+    // Ties everywhere, with buckets far over 48.
+    expect_reference(tieHeavyStream(600, 6, 2022), "ties 600x6");
+    expect_reference(tieHeavyStream(40, 200, 7), "ties 40x200");
+    expect_reference(tieHeavyStream(3000, 12, 11), "ties 3000x12");
+    expect_reference(stormStream(800, 5), "storms");
+
+    // Random streams of every size from 2 to 2000, arrivals drawn from
+    // a range half the size so ties are common.
+    Rng rng(99);
+    for (std::size_t n = 2; n <= 2000; ++n) {
+        std::vector<StolenInterval> stolen;
+        for (std::size_t i = 0; i < n; ++i)
+            stolen.push_back(taggedInterval(
+                static_cast<TimeNs>(rng.uniform() *
+                                    static_cast<double>(n / 2 + 1)),
+                i));
+        if (!expect_reference(stolen, "random n=" + std::to_string(n)))
+            break;
+    }
+
+    // A sorted prefix with a short tail (the merge path) and with a tail
+    // just long enough for the bucket sort.
+    for (const std::size_t tail : {5u, 256u, 257u, 900u}) {
+        std::vector<StolenInterval> stolen;
+        for (std::size_t i = 0; i < 5000; ++i)
+            stolen.push_back(taggedInterval(static_cast<TimeNs>(i) * 40, i));
+        for (std::size_t i = 0; i < tail; ++i)
+            stolen.push_back(taggedInterval(
+                static_cast<TimeNs>(rng.uniform() * 200000.0) / 20 * 20,
+                5000 + i));
+        expect_reference(stolen, "prefix + tail " + std::to_string(tail));
+    }
+
+    // One synthesized Tor timeline in emission order: most ticks lie
+    // far behind their output slot.
+    expect_reference(torEmissionOrder(), "tor");
+
+    // Sources exactly at, just inside and just past the gather ring's
+    // reach (8192 slots), and sources that are all far behind: a
+    // reversed stream.
+    for (const std::size_t shift :
+         {1u, 300u, 4095u, 4096u, 4097u, 8190u, 8191u, 8192u, 8193u, 8194u,
+          16383u, 16384u, 16385u, 30000u}) {
+        expect_reference(rotatedStream(40000, shift),
+                         "rotated by " + std::to_string(shift));
+    }
+    std::vector<StolenInterval> reversed;
+    for (std::size_t i = 0; i < 30000; ++i)
+        reversed.push_back(
+            taggedInterval(static_cast<TimeNs>(30000 - i) * 7, i));
+    expect_reference(reversed, "reversed");
 }
 
 TEST(NormalizeTimeline, CounterOverloadIsBitIdenticalToPlainCall)
@@ -693,7 +944,7 @@ handTimeline()
     for (int i = 0; i < 60; ++i) {
         StolenInterval s;
         s.arrival = static_cast<TimeNs>(rng.uniform(0.0, 99.0) * kMsec);
-        s.duration = static_cast<TimeNs>(rng.uniform(2.0, 40.0) * kUsec);
+        s.setDuration(static_cast<TimeNs>(rng.uniform(2.0, 40.0) * kUsec));
         s.kind = InterruptKind::TimerTick;
         stolen.push_back(s);
     }

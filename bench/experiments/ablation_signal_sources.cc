@@ -15,6 +15,7 @@
  */
 
 #include <cstdio>
+#include <iterator>
 
 #include "base/table.hh"
 #include "experiments.hh"
@@ -22,18 +23,6 @@
 namespace bigfish::bench {
 
 namespace {
-
-Result<double>
-accuracy(const core::CollectionConfig &config,
-         const core::PipelineConfig &pipeline,
-         core::RunArtifact &artifact, const std::string &label)
-{
-    auto result = core::runFingerprinting(config, pipeline);
-    if (!result.isOk())
-        return result.status();
-    artifact.addResult(label, result.value());
-    return result.value().closedWorld.top1Mean;
-}
 
 Result<core::RunArtifact>
 run(const core::RunContext &ctx)
@@ -84,30 +73,6 @@ run(const core::RunContext &ctx)
          }},
     };
 
-    Table table({"model (cumulative deletions)", "top-1", "delta"});
-    core::CollectionConfig config = base;
-    double prev = -1.0;
-    int step_index = 0;
-    for (const auto &step : steps) {
-        step.apply(config);
-        auto acc = accuracy(config, pipeline, artifact,
-                            "channel_step" +
-                                std::to_string(step_index++));
-        if (!acc.isOk())
-            return acc.status();
-        table.addRow({step.name, formatPercent(acc.value()),
-                      prev < 0
-                          ? std::string("-")
-                          : formatDouble((acc.value() - prev) * 100.0,
-                                         1)});
-        prev = acc.value();
-        std::printf("finished: %s\n", step.name);
-    }
-    std::printf("\nLEAKAGE-CHANNEL ABLATION (chance = %.1f%%)\n%s",
-                100.0 / scale.sites, table.render().c_str());
-
-    // Classifier ablation on the unmodified attack.
-    Table clf({"classifier", "top-1"});
     struct ClfRow
     {
         const char *name;
@@ -119,31 +84,60 @@ run(const core::RunContext &ctx)
         {"softmax regression", ml::softmaxRegressionFactory()},
         {"kNN (k=5)", ml::knnFactory(5)},
     };
-    int clf_index = 0;
-    for (const auto &row : classifiers) {
-        auto p = pipeline;
-        p.factory = row.factory;
-        auto acc = accuracy(base, p, artifact,
-                            "classifier" + std::to_string(clf_index++));
-        if (!acc.isOk())
-            return acc.status();
-        clf.addRow({row.name, formatPercent(acc.value())});
-        std::printf("finished classifier: %s\n", row.name);
+    const std::size_t feature_lens[] = {64, 128, 256, 512};
+
+    // Every channel deletion, classifier and feature length is one job
+    // of a single batch; results come back in declaration order.
+    std::vector<core::FingerprintJob> jobs;
+    core::CollectionConfig config = base;
+    for (const auto &step : steps) {
+        step.apply(config);
+        jobs.push_back({config, {config.attacker}, pipeline});
     }
+    // The classifier and feature-length ablations run the unmodified
+    // attack.
+    for (const auto &row : classifiers) {
+        jobs.push_back({base, {base.attacker}, pipeline});
+        jobs.back().pipeline.factory = row.factory;
+    }
+    for (const std::size_t len : feature_lens) {
+        jobs.push_back({base, {base.attacker}, pipeline});
+        jobs.back().pipeline.featureLen = len;
+    }
+    auto batch = core::runFingerprintingBatch(jobs);
+    if (!batch.isOk())
+        return batch.status();
+    std::size_t next = 0;
+    const auto accuracy = [&](const std::string &label) {
+        const core::FingerprintResult &result = batch.value()[next++][0];
+        artifact.addResult(label, result);
+        return result.closedWorld.top1Mean;
+    };
+
+    Table table({"model (cumulative deletions)", "top-1", "delta"});
+    double prev = -1.0;
+    for (std::size_t i = 0; i < std::size(steps); ++i) {
+        const double acc = accuracy("channel_step" + std::to_string(i));
+        table.addRow({steps[i].name, formatPercent(acc),
+                      prev < 0 ? std::string("-")
+                               : formatDouble((acc - prev) * 100.0, 1)});
+        prev = acc;
+    }
+    std::printf("\nLEAKAGE-CHANNEL ABLATION (chance = %.1f%%)\n%s",
+                100.0 / scale.sites, table.render().c_str());
+
+    Table clf({"classifier", "top-1"});
+    for (std::size_t i = 0; i < std::size(classifiers); ++i)
+        clf.addRow({classifiers[i].name,
+                    formatPercent(
+                        accuracy("classifier" + std::to_string(i)))});
     std::printf("\nCLASSIFIER ABLATION\n%s", clf.render().c_str());
 
-    // Feature-length ablation.
     Table feat({"feature length", "top-1"});
-    for (std::size_t len : {64u, 128u, 256u, 512u}) {
-        auto p = pipeline;
-        p.featureLen = len;
-        auto acc = accuracy(base, p, artifact,
-                            "features" + std::to_string(len));
-        if (!acc.isOk())
-            return acc.status();
-        feat.addRow({std::to_string(len), formatPercent(acc.value())});
-        std::printf("finished feature length: %zu\n", len);
-    }
+    for (const std::size_t len : feature_lens)
+        feat.addRow({std::to_string(len),
+                     formatPercent(
+                         accuracy("features" + std::to_string(len)))});
     std::printf("\nFEATURE-LENGTH ABLATION\n%s", feat.render().c_str());
     return artifact;
 }

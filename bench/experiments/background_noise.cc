@@ -30,10 +30,10 @@ run(const core::RunContext &ctx)
     background.backgroundApps = true;
 
     const core::FingerprintJob jobs[] = {
-        {background, {background.attacker}},
-        {quiet, {quiet.attacker}},
+        {background, {background.attacker}, pipeline},
+        {quiet, {quiet.attacker}, pipeline},
     };
-    auto batch = core::runFingerprintingBatch(jobs, pipeline);
+    auto batch = core::runFingerprintingBatch(jobs);
     if (!batch.isOk())
         return batch.status();
     const core::FingerprintResult &bg = batch.value()[0][0];

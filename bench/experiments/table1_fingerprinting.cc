@@ -90,9 +90,10 @@ run(const core::RunContext &ctx)
         job.collection.browser = cell.profile;
         job.attackers = {attack::AttackerKind::LoopCounting,
                          attack::AttackerKind::SweepCounting};
+        job.pipeline = pipeline;
         jobs.push_back(std::move(job));
     }
-    auto batch = core::runFingerprintingBatch(jobs, pipeline);
+    auto batch = core::runFingerprintingBatch(jobs);
     if (!batch.isOk())
         return batch.status();
 

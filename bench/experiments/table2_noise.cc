@@ -60,8 +60,8 @@ run(const core::RunContext &ctx)
     // three conditions run as one batch on the shared executor.
     std::vector<core::FingerprintJob> jobs;
     for (const auto &variant : variants)
-        jobs.push_back({variant.config, {kinds[0], kinds[1]}});
-    auto batch = core::runFingerprintingBatch(jobs, pipeline);
+        jobs.push_back({variant.config, {kinds[0], kinds[1]}, pipeline});
+    auto batch = core::runFingerprintingBatch(jobs);
     if (!batch.isOk())
         return batch.status();
     double acc[2][3];

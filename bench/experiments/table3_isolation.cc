@@ -64,9 +64,9 @@ run(const core::RunContext &ctx)
     std::vector<core::FingerprintJob> jobs;
     for (const auto &step : steps) {
         step.apply(config);
-        jobs.push_back({config, {config.attacker}});
+        jobs.push_back({config, {config.attacker}, pipeline});
     }
-    auto batch = core::runFingerprintingBatch(jobs, pipeline);
+    auto batch = core::runFingerprintingBatch(jobs);
     if (!batch.isOk())
         return batch.status();
     for (std::size_t k = 0; k < jobs.size(); ++k) {

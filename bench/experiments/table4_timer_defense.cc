@@ -55,9 +55,9 @@ run(const core::RunContext &ctx)
         config.browser = web::BrowserProfile::nativePython();
         config.timerOverride = row.spec;
         config.period = row.period_ms * kMsec;
-        jobs.push_back({config, {config.attacker}});
+        jobs.push_back({config, {config.attacker}, pipeline});
     }
-    auto batch = core::runFingerprintingBatch(jobs, pipeline);
+    auto batch = core::runFingerprintingBatch(jobs);
     if (!batch.isOk())
         return batch.status();
     for (std::size_t r = 0; r < jobs.size(); ++r) {

@@ -45,7 +45,10 @@
 #               the --threads=2 fill, and after half its collect chunks
 #               and every featurized entry are deleted, a rerun must
 #               replay the other half and rewrite every featurized entry
-#               byte for byte.
+#               byte for byte. Last, a cold ablation_featurization smoke
+#               fills a cache and a warm rerun must replay every one of
+#               its featurized entries (the gap-trace attacker's
+#               included) with an equal artifact.
 #   sim-perf  — the simulator perf-counter gate (DESIGN.md §13): the
 #               test_sim_perf determinism suite, then a table1 smoke
 #               whose --explain table and schemaVersion-3 artifact must
@@ -56,6 +59,11 @@
 #               exceeds the first by more than 15 MB per extra worker
 #               (one interval buffer per worker measures 11.5-13 MB;
 #               two measured 17-22 MB).
+#   whole-binary — runs every built build/tests/test_* once, whole, in
+#               one process: state one test leaks into the next (a
+#               global pool, a cached env read, a death test's fork of
+#               a threaded parent) shows here, while ctest's one
+#               process per test hides it.
 #   address   — full build + ctest under AddressSanitizer.
 #   undefined — full build + ctest under UBSan.
 #   thread    — full build + ctest under ThreadSanitizer; this covers
@@ -76,7 +84,7 @@
 # stage fails the gate instead of silently passing.
 #
 # Usage:
-#   scripts/check.sh [lint-diff|lint|cppcheck|cli-smoke|resume-smoke|simd|stage-cache|sim-perf|address|undefined|thread|threads8]...
+#   scripts/check.sh [lint-diff|lint|cppcheck|cli-smoke|resume-smoke|simd|stage-cache|sim-perf|whole-binary|address|undefined|thread|threads8]...
 #   With no arguments, runs every stage.
 
 set -euo pipefail
@@ -85,7 +93,7 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then
     stages=(lint-diff lint cppcheck cli-smoke resume-smoke simd stage-cache
-            sim-perf address undefined thread threads8)
+            sim-perf whole-binary address undefined thread threads8)
 fi
 
 jobs="$(nproc 2>/dev/null || echo 4)"
@@ -479,6 +487,36 @@ for stage in "${stages[@]}"; do
             cmp "$cdir/cache/$name" "$cdir/cache1/$name" ||
                 { echo "collect entry $name was not restored" >&2; exit 1; }
         done < "$cdir/collect.t1"
+        echo "== [stage-cache] ablation_featurization: a warm rerun replays" \
+             "every featurized entry"
+        "$builddir/bigfish" run ablation_featurization --smoke --threads=2 \
+            --cache-dir="$cdir/ablation" --explain \
+            --json="$cdir/ablation-cold.json" > "$cdir/ablation-cold.log"
+        "$builddir/bigfish" run ablation_featurization --smoke --threads=2 \
+            --cache-dir="$cdir/ablation" --explain \
+            --json="$cdir/ablation-warm.json" > "$cdir/ablation-warm.log"
+        stored="$(grep -cE '/featurize/[^ ]+ +\| featurize +\| [0-9a-f]{16} \| stored' \
+            "$cdir/ablation-cold.log" || true)"
+        hits="$(grep -cE '/featurize/[^ ]+ +\| featurize +\| [0-9a-f]{16} \| hit' \
+            "$cdir/ablation-warm.log" || true)"
+        if [ "$stored" -eq 0 ] || [ "$hits" -ne "$stored" ]; then
+            echo "the warm rerun replayed $hits of $stored featurized" \
+                 "entries" >&2
+            exit 1
+        fi
+        grep -Eq '/featurize/gap-trace +\| featurize +\| [0-9a-f]{16} \| hit' \
+            "$cdir/ablation-warm.log" ||
+            { echo "the gap-trace featurized entry did not replay" >&2; exit 1; }
+        if grep -q 'stage cache: featurized miss' "$cdir/ablation-warm.log"; then
+            echo "the warm ablation rerun collected again" >&2
+            exit 1
+        fi
+        if ! diff \
+            <(grep -v -e 'Seconds' -e 'cache-dir' "$cdir/ablation-cold.json") \
+            <(grep -v -e 'Seconds' -e 'cache-dir' "$cdir/ablation-warm.json"); then
+            echo "the warm ablation artifact differs from the cold one" >&2
+            exit 1
+        fi
         echo "== [stage-cache] cached reuse is provenance-clean and" \
              "bit-identical"
         ;;
@@ -536,6 +574,28 @@ for stage in "${stages[@]}"; do
             exit 1
         fi
         ;;
+      whole-binary)
+        builddir="$repo/build"
+        echo "== [whole-binary] build the test binaries"
+        cmake -B "$builddir" -S "$repo" > /dev/null
+        cmake --build "$builddir" -j "$jobs"
+        wdir="$(mktemp -d)"
+        tmpdirs+=("$wdir")
+        failed=()
+        for binary in "$builddir"/tests/test_*; do
+            [ -f "$binary" ] && [ -x "$binary" ] || continue
+            name="$(basename "$binary")"
+            echo "== [whole-binary] $name"
+            if ! "$binary" > "$wdir/$name.log" 2>&1; then
+                tail -n 40 "$wdir/$name.log"
+                failed+=("$name")
+            fi
+        done
+        if [ ${#failed[@]} -gt 0 ]; then
+            echo "failed as whole binaries: ${failed[*]}" >&2
+            exit 1
+        fi
+        ;;
       address|undefined|thread)
         san="$stage"
         builddir="$repo/build-$san"
@@ -561,7 +621,7 @@ for stage in "${stages[@]}"; do
       *)
         echo "unknown stage '$stage' (want lint-diff, lint, cppcheck," \
              "cli-smoke, resume-smoke, simd, stage-cache, sim-perf," \
-             "address, undefined, thread or threads8)" >&2
+             "whole-binary, address, undefined, thread or threads8)" >&2
         exit 2
         ;;
     esac

@@ -15,6 +15,8 @@ attackerKindName(AttackerKind kind)
         return "loop-counting";
       case AttackerKind::SweepCounting:
         return "sweep-counting";
+      case AttackerKind::GapTrace:
+        return "gap-trace";
     }
     return "unknown";
 }
@@ -47,6 +49,8 @@ iterationCosts(AttackerKind kind, const AttackerParams &params,
                 (sweep + params.sweepOverheadNs) * factor * mem_noise;
             break;
           }
+          case AttackerKind::GapTrace:
+            panic("the gap-trace attacker runs no counting loop");
         }
         panicIf(costs[step] <= 0.0, "non-positive iteration cost");
     }
@@ -62,6 +66,8 @@ collectTrace(AttackerKind kind, const AttackerParams &params,
     if (period <= 0)
         return Status(
             invalidArgumentError("attacker period must be positive"));
+    if (kind == AttackerKind::GapTrace)
+        return collectGapTrace(timeline, period);
     Trace trace;
     trace.period = period;
     trace.attacker = attackerKindName(kind);
@@ -128,7 +134,7 @@ collectGapTrace(const sim::RunTimeline &timeline, TimeNs period,
         return Status(invalidArgumentError("poll cost must be positive"));
     Trace trace;
     trace.period = period;
-    trace.attacker = "gap-trace";
+    trace.attacker = attackerKindName(AttackerKind::GapTrace);
     const std::size_t bins =
         static_cast<std::size_t>((timeline.duration + period - 1) / period);
     trace.counts.assign(bins, 0.0);

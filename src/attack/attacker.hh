@@ -21,6 +21,10 @@
  * differences between their traces are (a) the iteration-cost model and
  * (b) the counter's dynamic range — exactly the comparison the paper
  * makes.
+ *
+ * AttackerKind also names the gap-trace attacker of Section 5.2
+ * (collectGapTrace()), so the collector runs it over the same shared
+ * timeline as the two counting attackers.
  */
 
 #ifndef BF_ATTACK_ATTACKER_HH
@@ -44,9 +48,10 @@ enum class AttackerKind
 {
     LoopCounting,  ///< This paper's attack: no memory accesses.
     SweepCounting, ///< Shusterman et al.'s cache-occupancy attack.
+    GapTrace,      ///< Section 5.2's stolen-time trace (collectGapTrace()).
 };
 
-/** Name for reports ("loop-counting" / "sweep-counting"). */
+/** Name for reports ("loop-counting" / "sweep-counting" / "gap-trace"). */
 std::string attackerKindName(AttackerKind kind);
 
 /** Cost parameters of the attacker inner loops. */
@@ -79,6 +84,8 @@ struct AttackerParams
 
 /**
  * Runs one attacker over one synthesized timeline and returns the trace.
+ * GapTrace dispatches to collectGapTrace() with its default poll cost
+ * and threshold; it reads no timer and draws no noise.
  *
  * @param kind Which inner loop body to run.
  * @param params Iteration cost parameters.

@@ -60,26 +60,6 @@ Trace::dipFeatures(std::size_t featureLen) const
     return mean_ds;
 }
 
-std::vector<std::vector<double>>
-TraceSet::toFeatures(std::size_t featureLen) const
-{
-    std::vector<std::vector<double>> features;
-    features.reserve(traces.size());
-    for (const Trace &t : traces)
-        features.push_back(t.meanFeatures(featureLen));
-    return features;
-}
-
-std::vector<std::vector<double>>
-TraceSet::toDipFeatures(std::size_t featureLen) const
-{
-    std::vector<std::vector<double>> features;
-    features.reserve(traces.size());
-    for (const Trace &t : traces)
-        features.push_back(t.dipFeatures(featureLen));
-    return features;
-}
-
 std::vector<Label>
 TraceSet::labels() const
 {

@@ -66,14 +66,7 @@ struct TraceSet
     /** Number of distinct labels (max label + 1). */
     int numClasses() const;
 
-    /** Trace::meanFeatures() of every trace. */
-    std::vector<std::vector<double>> toFeatures(std::size_t featureLen) const;
-
-    /** Trace::dipFeatures() of every trace. */
-    std::vector<std::vector<double>>
-    toDipFeatures(std::size_t featureLen) const;
-
-    /** The label of every trace, aligned with toFeatures(). */
+    /** The label of every trace, in trace order. */
     std::vector<Label> labels() const;
 };
 

@@ -30,12 +30,18 @@
 
 namespace bigfish {
 
-/** Terminates with exit(1); use for user-caused misconfiguration. */
+/**
+ * Terminates with status 1; use for user-caused misconfiguration. Safe
+ * from any thread: it flushes stdio and skips static destructors
+ * (std::_Exit), since exit() would destroy the global thread pool, and
+ * a pool worker cannot join itself.
+ */
 [[noreturn]] inline void
 fatal(const std::string &message)
 {
     std::fprintf(stderr, "fatal: %s\n", message.c_str());
-    std::exit(1);
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 /** Aborts; use for internal invariant violations (library bugs). */

@@ -85,7 +85,7 @@ RunArtifact::phaseWall(PhaseIndex index) const
     }
     if (open)
         total += hi - lo;
-    return total + phases_[index].extraWall;
+    return total;
 }
 
 double
@@ -128,15 +128,6 @@ void
 RunArtifact::addMetric(const std::string &name, double value)
 {
     metrics_.emplace_back(name, value);
-}
-
-void
-RunArtifact::addPhaseSeconds(const std::string &phase, double cpuSeconds,
-                             double wallSeconds)
-{
-    Phase &bucket = phases_[phaseIndex(phase)];
-    bucket.cpu += cpuSeconds;
-    bucket.extraWall += wallSeconds;
 }
 
 void

@@ -72,14 +72,6 @@ class RunArtifact
     /** Appends one headline metric (insertion order is preserved). */
     void addMetric(const std::string &name, double value);
 
-    /**
-     * Adds CPU and wall seconds measured outside any stage to one phase
-     * bucket ("collect", "featurize", "train" or "eval"); the wall adds
-     * to the bucket's interval union. Panics on an unknown phase.
-     */
-    void addPhaseSeconds(const std::string &phase, double cpuSeconds,
-                         double wallSeconds);
-
     void setWallSeconds(double seconds) { wallSeconds_ = seconds; }
     /** Process CPU seconds the run consumed (every thread). */
     void setCpuSeconds(double seconds) { cpuSeconds_ = seconds; }
@@ -164,17 +156,16 @@ class RunArtifact
         kPhases
     };
 
-    /** One rollup bucket: CPU sum, stage intervals, untimed wall. */
+    /** One rollup bucket: CPU sum and stage intervals. */
     struct Phase
     {
         double cpu = 0.0;
         std::vector<std::pair<double, double>> intervals;
-        double extraWall = 0.0;
     };
 
     static PhaseIndex phaseIndex(const std::string &phase);
     const Phase &phase(PhaseIndex index) const { return phases_[index]; }
-    /** Length of the union of the phase's intervals, plus its extra. */
+    /** Length of the union of the phase's intervals. */
     double phaseWall(PhaseIndex index) const;
 
     std::string experiment_;

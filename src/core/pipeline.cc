@@ -16,9 +16,10 @@
 namespace bigfish::core {
 
 std::vector<double>
-featureRow(const attack::Trace &trace, std::size_t feature_len)
+featureRow(const attack::Trace &trace, std::size_t feature_len,
+           Featurization variant)
 {
-    // Two channels, concatenated channel-major:
+    // By default two channels, concatenated channel-major:
     //   channel 0 — bucket means, winsorized (so single preemption-eaten
     //   periods cannot compress the trace's dynamic range) and
     //   standardized (counter values sit in a narrow band near their
@@ -26,10 +27,17 @@ featureRow(const attack::Trace &trace, std::size_t feature_len)
     //   classifier train efficiently);
     //   channel 1 — sub-bucket dip depth, the fine-timescale interrupt
     //   texture that bucket averages smooth away.
-    std::vector<double> x =
-        stats::zscore(stats::winsorize(trace.meanFeatures(feature_len)));
-    const auto dip = stats::zscore(trace.dipFeatures(feature_len));
-    x.insert(x.end(), dip.begin(), dip.end());
+    std::vector<double> x;
+    if (variant != Featurization::DipOnly) {
+        const std::vector<double> means = trace.meanFeatures(feature_len);
+        x = stats::zscore(variant == Featurization::MeanDipUnwinsorized
+                              ? means
+                              : stats::winsorize(means));
+    }
+    if (variant != Featurization::MeanOnly) {
+        const auto dip = stats::zscore(trace.dipFeatures(feature_len));
+        x.insert(x.end(), dip.begin(), dip.end());
+    }
     return x;
 }
 
@@ -95,7 +103,7 @@ struct RowCell
 
 /** featureRow() of every usable trace of @p cell. */
 RowCell
-featurizeCell(const CollectedCell &cell, std::size_t feature_len)
+featurizeCell(const CollectedCell &cell, const PipelineConfig &pipeline)
 {
     RowCell out;
     out.perf = cell.perf;
@@ -103,7 +111,9 @@ featurizeCell(const CollectedCell &cell, std::size_t feature_len)
     for (const Result<attack::Trace> &trace : cell.traces) {
         if (trace.isOk())
             out.rows.emplace_back(LabeledRow{
-                featureRow(trace.value(), feature_len), trace.value().label});
+                featureRow(trace.value(), pipeline.featureLen,
+                           pipeline.featurization),
+                trace.value().label});
         else
             out.rows.emplace_back(trace.status());
     }
@@ -161,16 +171,24 @@ struct WorldStages
 };
 
 /** Canonical featurization text — any change to what featureRow()
- *  produces must bump the format line. */
+ *  produces must bump the format line. The default variant writes no
+ *  line of its own: caches filled before the variants existed, and
+ *  tools that rebuild this text to find entries, keep its keys. */
 std::string
 featurizeCanon(const PipelineConfig &pipeline, attack::AttackerKind kind)
 {
+    static constexpr const char *kVariantNames[] = {
+        "mean-dip", "mean-only", "dip-only", "mean-dip-unwinsorized"};
     std::ostringstream canon;
     canon << "format=bigfish-features-v1\n"
           << "featureLen=" << pipeline.featureLen << '\n'
           << "numSites=" << pipeline.numSites << '\n'
           << "openExtra=" << pipeline.openWorldExtra << '\n'
           << "attacker=" << attack::attackerKindName(kind) << '\n';
+    if (pipeline.featurization != Featurization::MeanDip)
+        canon << "featurization="
+              << kVariantNames[static_cast<int>(pipeline.featurization)]
+              << '\n';
     return canon.str();
 }
 
@@ -366,6 +384,13 @@ std::atomic<int> gChunksCommitted{0};
 struct JobRun
 {
     const FingerprintJob *job = nullptr;
+    /** The job's pipeline: its scale, featurization and classifier. */
+    const PipelineConfig &pipeline() const { return job->pipeline; }
+    /** The open world's catch-all class. */
+    Label nonSensitive() const { return job->pipeline.numSites; }
+    /** Models/scores persist only under a canonical factory text:
+     *  without one two different classifiers could share a key. */
+    bool cacheable() const { return !job->pipeline.factory.canon.empty(); }
     /** Declare-time rejection; the job then owns no stages. */
     Status invalid;
     /** The job's stage ids: [firstStage, endStage). */
@@ -390,11 +415,6 @@ struct JobRun
 struct Batch
 {
     StageGraph &graph;
-    const PipelineConfig &pipeline;
-    Label nonSensitive = 0;
-    /** Models/scores persist only under a canonical factory text:
-     *  without one two different classifiers could share a key. */
-    bool cacheable = false;
     StageCodec<FeaturizedEntry> featurizedCodec{
         "featurized", &encodeFeaturized, &decodeFeaturized};
     StageCodec<ml::FoldScores> scoresCodec{"scores", &encodeFoldScores,
@@ -465,9 +485,9 @@ assembleCollection(Batch &batch, JobRun &run)
         return closed.status();
     raw.out.closed = std::move(closed.value());
     raw.out.openStats.resize(attackers);
-    if (batch.pipeline.openWorldExtra > 0) {
+    if (run.pipeline().openWorldExtra > 0) {
         Result<std::vector<ml::Dataset>> open =
-            assembleRows(raw.openCells, attackers, batch.nonSensitive,
+            assembleRows(raw.openCells, attackers, run.nonSensitive(),
                          "open-world", raw.out.openStats, perf);
         if (!open.isOk())
             return open.status();
@@ -510,10 +530,10 @@ storeChunk(Batch &batch, JobRun &run, std::size_t index)
     StageCache &cache = *batch.graph.cache();
     CollectRun &raw = *run.raw;
     const std::span<CollectedCell> cells =
-        chunkCells(raw, chunkAt(batch.pipeline, index));
+        chunkCells(raw, chunkAt(run.pipeline(), index));
     const Status stored = cache.put(
         kCollectKind,
-        chunkKey(batch.graph.fingerprint(run.collect), batch.pipeline,
+        chunkKey(batch.graph.fingerprint(run.collect), run.pipeline(),
                  index),
         encodeCollectChunk(cells));
     // Committed or not, the chunk's raw traces are done with: their
@@ -550,7 +570,7 @@ submitCell(Batch &batch, JobRun &run, bool open, std::size_t index)
             const std::span<const attack::AttackerKind> attackers =
                 run.job->attackers;
             const auto traces =
-                static_cast<std::size_t>(batch.pipeline.tracesPerSite);
+                static_cast<std::size_t>(run.pipeline().tracesPerSite);
             const auto site = static_cast<SiteId>(index / traces);
             CollectedCell cell =
                 open ? raw.collector.collectCell(
@@ -560,11 +580,11 @@ submitCell(Batch &batch, JobRun &run, bool open, std::size_t index)
                            raw.catalog.site(site),
                            static_cast<int>(index % traces), attackers);
             (open ? raw.openCells : raw.closedCells)[index] =
-                featurizeCell(cell, batch.pipeline.featureLen);
+                featurizeCell(cell, run.pipeline());
             if (batch.graph.cache() != nullptr) {
                 (open ? raw.openRaw : raw.closedRaw)[index] = std::move(cell);
                 const std::size_t chunk =
-                    chunkOf(batch.pipeline, open, index);
+                    chunkOf(run.pipeline(), open, index);
                 if (raw.chunkLeft[chunk].fetch_sub(
                         1, std::memory_order_acq_rel) == 1)
                     storeChunk(batch, run, chunk);
@@ -588,13 +608,13 @@ submitReplayed(Batch &batch, JobRun &run, std::size_t index,
                        [&batch, &run, index, decoded] {
         return batch.graph.charged(run.collect, [&]() -> Status {
             CollectRun &raw = *run.raw;
-            const Chunk chunk = chunkAt(batch.pipeline, index);
+            const Chunk chunk = chunkAt(run.pipeline(), index);
             std::vector<RowCell> &slots =
                 chunk.open ? raw.openCells : raw.closedCells;
             const std::size_t count = decoded->size();
             for (std::size_t i = 0; i < count; ++i)
                 slots[chunk.begin + i] =
-                    featurizeCell((*decoded)[i], batch.pipeline.featureLen);
+                    featurizeCell((*decoded)[i], run.pipeline());
             *decoded = {};
             return cellsDone(batch, run, count);
         });
@@ -631,7 +651,7 @@ replayChunk(StageCache &cache, std::uint64_t key, std::size_t cells,
 Status
 startCollection(Batch &batch, JobRun &run)
 {
-    const PipelineConfig &pipeline = batch.pipeline;
+    const PipelineConfig &pipeline = run.pipeline();
     if (pipeline.tracesPerSite <= 0)
         return invalidArgumentError("traces_per_site must be positive");
     run.raw = std::make_unique<CollectRun>(pipeline, run.job->collection);
@@ -739,7 +759,7 @@ featurizeAttacker(Batch &batch, JobRun &run, std::size_t a)
     Result<FeaturizedEntry> entry = batch.graph.run<FeaturizedEntry>(
         run.featurize[a], &batch.featurizedCodec,
         [&]() -> Result<FeaturizedEntry> {
-            return featurizeStageBody(run.raw->out, a, batch.pipeline);
+            return featurizeStageBody(run.raw->out, a, run.pipeline());
         },
         /*probe=*/false);
     // Only this task reads attacker a's rows.
@@ -794,11 +814,11 @@ runFold(Batch &batch, JobRun &run, std::size_t a, WorldRun &world,
     if (f >= world.splits.size())
         return Status::ok();
     StageGraph &graph = batch.graph;
-    const PipelineConfig &pipeline = batch.pipeline;
+    const PipelineConfig &pipeline = run.pipeline();
     const ml::Dataset &data = worldData(run, a, world);
     const std::size_t train_id = world.stages.train[f];
     const std::size_t score_id = world.stages.score[f];
-    if (batch.cacheable) {
+    if (run.cacheable()) {
         std::optional<ml::FoldScores> cached =
             graph.fromCache(score_id, batch.scoresCodec);
         if (cached) {
@@ -827,7 +847,7 @@ runFold(Batch &batch, JobRun &run, std::size_t a, WorldRun &world,
         }};
     Result<std::unique_ptr<ml::Classifier>> model =
         graph.run<std::unique_ptr<ml::Classifier>>(
-            train_id, batch.cacheable ? &model_codec : nullptr,
+            train_id, run.cacheable() ? &model_codec : nullptr,
             [&]() -> Result<std::unique_ptr<ml::Classifier>> {
                 return ml::trainFoldClassifier(pipeline.factory, data,
                                                world.splits[f], seed);
@@ -836,7 +856,7 @@ runFold(Batch &batch, JobRun &run, std::size_t a, WorldRun &world,
         return model.status();
     graph.setCounts(train_id, world.splits[f].train.size(), 0);
     Result<ml::FoldScores> scores = graph.run<ml::FoldScores>(
-        score_id, batch.cacheable ? &batch.scoresCodec : nullptr,
+        score_id, run.cacheable() ? &batch.scoresCodec : nullptr,
         [&]() -> Result<ml::FoldScores> {
             return ml::scoreFold(*model.value(), data,
                                  world.splits[f].test);
@@ -858,7 +878,7 @@ submitWorld(Batch &batch, JobRun &run, std::size_t a, WorldRun &world)
     graph.submit(world.stages.split, kBookkeepingPriority,
                  [&batch, &run, a, &world]() -> Status {
         const ml::Dataset &data = worldData(run, a, world);
-        const ml::EvalConfig &eval = batch.pipeline.eval;
+        const ml::EvalConfig &eval = run.pipeline().eval;
         Result<std::vector<ml::FoldSplit>> splits =
             batch.graph.run<std::vector<ml::FoldSplit>>(
                 world.stages.split, nullptr,
@@ -881,15 +901,14 @@ submitWorld(Batch &batch, JobRun &run, std::size_t a, WorldRun &world)
                      });
     graph.submit(world.stages.aggregate, kBookkeepingPriority,
                  [&batch, &run, a, &world]() -> Status {
-        const PipelineConfig &pipeline = batch.pipeline;
+        const int top_k = run.pipeline().eval.topK;
         Result<ml::EvalResult> result = batch.graph.run<ml::EvalResult>(
             world.stages.aggregate, nullptr,
             [&]() -> Result<ml::EvalResult> {
                 if (world.open)
                     return ml::aggregateFoldsOpenWorld(
-                        world.folds, batch.nonSensitive,
-                        pipeline.eval.topK);
-                return ml::aggregateFolds(world.folds, pipeline.eval.topK);
+                        world.folds, run.nonSensitive(), top_k);
+                return ml::aggregateFolds(world.folds, top_k);
             });
         if (!result.isOk())
             return result.status();
@@ -913,8 +932,8 @@ void
 declareJob(Batch &batch, JobRun &run)
 {
     StageGraph &graph = batch.graph;
-    const PipelineConfig &pipeline = batch.pipeline;
     const FingerprintJob &job = *run.job;
+    const PipelineConfig &pipeline = job.pipeline;
     const std::span<const attack::AttackerKind> attackers = job.attackers;
     const bool has_open = pipeline.openWorldExtra > 0;
 
@@ -1023,15 +1042,14 @@ jobResults(const StageGraph &graph, const JobRun &run)
 } // namespace
 
 Result<std::vector<std::vector<FingerprintResult>>>
-runFingerprintingBatch(std::span<const FingerprintJob> jobs,
-                       const PipelineConfig &pipeline)
+runFingerprintingBatch(std::span<const FingerprintJob> jobs)
 {
-    Status pipeline_invalid;
-    if (pipeline.numSites < 2)
-        pipeline_invalid = invalidArgumentError("need at least two sites");
-    else if (pipeline.eval.folds < 2)
-        pipeline_invalid =
-            invalidArgumentError("cross-validation needs >= 2 folds");
+    for (const FingerprintJob &job : jobs)
+        if (job.pipeline.cacheDir != jobs.front().pipeline.cacheDir)
+            return invalidArgumentError(
+                "a batch opens one stage cache, but its jobs name both '" +
+                jobs.front().pipeline.cacheDir + "' and '" +
+                job.pipeline.cacheDir + "'");
 
     std::vector<std::unique_ptr<JobRun>> runs;
     runs.reserve(jobs.size());
@@ -1041,28 +1059,30 @@ runFingerprintingBatch(std::span<const FingerprintJob> jobs,
         if (job.attackers.empty())
             run->invalid =
                 invalidArgumentError("need at least one attacker kind");
-        else
-            run->invalid = pipeline_invalid;
+        else if (job.pipeline.numSites < 2)
+            run->invalid = invalidArgumentError("need at least two sites");
+        else if (job.pipeline.eval.folds < 2)
+            run->invalid =
+                invalidArgumentError("cross-validation needs >= 2 folds");
         runs.push_back(std::move(run));
     }
     // A configuration error stops the first job before any work, as it
     // would have in a sequential loop.
-    if (!runs.empty() && !runs.front()->invalid.isOk())
-        return runs.front()->invalid;
-    if (!pipeline_invalid.isOk())
+    if (runs.empty())
         return std::vector<std::vector<FingerprintResult>>{};
+    if (!runs.front()->invalid.isOk())
+        return runs.front()->invalid;
 
     std::optional<StageCache> cache;
-    if (!pipeline.cacheDir.empty()) {
-        Result<StageCache> opened = StageCache::open(pipeline.cacheDir);
+    if (!jobs.front().pipeline.cacheDir.empty()) {
+        Result<StageCache> opened =
+            StageCache::open(jobs.front().pipeline.cacheDir);
         if (!opened.isOk())
             return opened.status();
         cache = std::move(opened.value());
     }
     StageGraph graph(cache ? &*cache : nullptr);
-    Batch batch{graph, pipeline};
-    batch.nonSensitive = pipeline.numSites;
-    batch.cacheable = !pipeline.factory.canon.empty();
+    Batch batch{graph};
 
     std::vector<JobRun *> declared;
     for (auto &run : runs) {
@@ -1107,9 +1127,9 @@ runFingerprintingShared(const CollectionConfig &collection,
                         const PipelineConfig &pipeline)
 {
     const FingerprintJob jobs[] = {
-        {collection, {attackers.begin(), attackers.end()}}};
+        {collection, {attackers.begin(), attackers.end()}, pipeline}};
     Result<std::vector<std::vector<FingerprintResult>>> results =
-        runFingerprintingBatch(jobs, pipeline);
+        runFingerprintingBatch(jobs);
     if (!results.isOk())
         return results.status();
     return std::move(results.value()[0]);

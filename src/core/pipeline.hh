@@ -19,8 +19,9 @@
  * open-world traces), so rerunning a killed run with the same cacheDir
  * collects only the chunks it never committed.
  *
- * runFingerprintingBatch() declares many configurations into one graph
- * and executes it once: every job's per-(site, run) collection tasks,
+ * runFingerprintingBatch() declares many jobs — each a collection
+ * setup, its attackers and its own PipelineConfig — into one graph and
+ * executes it once: every job's per-(site, run) collection tasks,
  * featurization and per-fold train/score tasks share the executor with
  * no barrier between jobs or phases. Each collection task featurizes
  * its own cell, so a cell's raw traces live only until then, or with a
@@ -48,6 +49,19 @@
 
 namespace bigfish::core {
 
+/**
+ * What featureRow() makes of a trace. The default is the pipeline's
+ * two-channel row; the others are the ablation variants of DESIGN.md
+ * decision #6 (one channel alone, or both without winsorizing).
+ */
+enum class Featurization
+{
+    MeanDip,             ///< Winsorized bucket means, then dip depths.
+    MeanOnly,            ///< Winsorized bucket means alone.
+    DipOnly,             ///< Dip depths alone.
+    MeanDipUnwinsorized, ///< Both channels, means not winsorized.
+};
+
 /** Dataset scale and classifier choice for one evaluation. */
 struct PipelineConfig
 {
@@ -57,10 +71,12 @@ struct PipelineConfig
     int openWorldExtra = 0;
     /**
      * Time buckets per channel fed to the classifier (traces are
-     * resampled; the dataset rows are 2 x featureLen: bucket means plus
+     * resampled; the default rows are 2 x featureLen: bucket means plus
      * sub-bucket dip depths).
      */
     std::size_t featureLen = 256;
+    /** Which channels a row holds; the factory's input must match. */
+    Featurization featurization = Featurization::MeanDip;
     /** Classifier; defaults to the two-channel CNN-LSTM at bench scale. */
     ml::ClassifierFactory factory =
         ml::cnnLstmFactory(ml::CnnLstmParams::traceDefaults());
@@ -154,35 +170,42 @@ runFingerprintingSharedOrDie(
     std::span<const attack::AttackerKind> attackers,
     const PipelineConfig &pipeline);
 
-/** One configuration of a batch: a collection setup plus the attackers
- *  sharing its victim timelines (see runFingerprintingShared()). */
+/** One configuration of a batch: a collection setup, the attackers
+ *  sharing its victim timelines (see runFingerprintingShared()) and the
+ *  pipeline that evaluates them. */
 struct FingerprintJob
 {
     CollectionConfig collection;
     std::vector<attack::AttackerKind> attackers;
+    PipelineConfig pipeline;
 };
 
 /**
  * Runs every job in @p jobs as one stage graph on the global pool and
  * returns, per job in job order, exactly what runFingerprintingShared()
- * would return for it — results, stage tables and cache provenance are
- * bit-identical to the sequential calls because every seed and
- * fingerprint is fixed when the job is declared. When jobs fail, the
- * Status is that of the first failing job in job order (and, within
- * it, of its first failing stage in declaration order); the other jobs
- * still drain.
+ * would return for it under the job's own pipeline — results, stage
+ * tables and cache provenance are bit-identical to the sequential calls
+ * because every seed and fingerprint is fixed when the job is declared.
+ * The batch opens one stage cache, so every job must name the same
+ * cacheDir (InvalidArgument otherwise). When jobs fail, the Status is
+ * that of the first failing job in job order (and, within it, of its
+ * first failing stage in declaration order); the other jobs still
+ * drain.
  */
 [[nodiscard]] Result<std::vector<std::vector<FingerprintResult>>>
-runFingerprintingBatch(std::span<const FingerprintJob> jobs,
-                       const PipelineConfig &pipeline);
+runFingerprintingBatch(std::span<const FingerprintJob> jobs);
 
 /**
- * One trace's dataset row: 2 x @p feature_len values, the winsorized
- * and standardized bucket means followed by the standardized sub-bucket
- * dip depths. Every featurization of the pipeline goes through this.
+ * One trace's dataset row. The default is 2 x @p feature_len values:
+ * the winsorized and standardized bucket means followed by the
+ * standardized sub-bucket dip depths; the other variants drop a channel
+ * or the winsorizing. Every featurization of the pipeline goes through
+ * this.
  */
 std::vector<double> featureRow(const attack::Trace &trace,
-                               std::size_t feature_len);
+                               std::size_t feature_len,
+                               Featurization variant =
+                                   Featurization::MeanDip);
 
 /** Converts a TraceSet into an ml::Dataset: featureRow() of every
  *  trace with its label, and at least @p num_classes classes. */

@@ -1,30 +1,8 @@
 #include "ml/evaluation.hh"
 
-#include "base/logging.hh"
-#include "base/thread_pool.hh"
 #include "stats/descriptive.hh"
 
 namespace bigfish::ml {
-
-namespace {
-
-/**
- * Runs every fold (concurrently when the global pool has threads; each
- * fold's RNG stream depends only on its seed, so fold results are
- * identical at any thread count) and gathers in fold order.
- */
-std::vector<FoldScores>
-runFolds(const ClassifierFactory &factory, const Dataset &data,
-         const std::vector<FoldSplit> &splits, std::uint64_t seed_base)
-{
-    return parallelMap(splits.size(), [&](std::size_t f) {
-        const auto model =
-            trainFoldClassifier(factory, data, splits[f], seed_base + f);
-        return scoreFold(*model, data, splits[f].test);
-    });
-}
-
-} // namespace
 
 std::unique_ptr<Classifier>
 trainFoldClassifier(const ClassifierFactory &factory, const Dataset &data,
@@ -89,32 +67,6 @@ aggregateFoldsOpenWorld(const std::vector<FoldScores> &folds,
     result.openWorldSensitiveStd = stats::sampleStddev(sensitive);
     result.openWorldCombinedStd = stats::sampleStddev(combined);
     return result;
-}
-
-EvalResult
-crossValidate(const ClassifierFactory &factory, const Dataset &data,
-              const EvalConfig &config)
-{
-    fatalIf(data.size() == 0, "cannot evaluate an empty dataset");
-    const auto splits = kFoldSplits(data.size(), config.folds,
-                                    config.valFraction, config.seed);
-    const auto folds =
-        runFolds(factory, data, splits,
-                 config.seed + kClosedWorldFoldSeedBase);
-    return aggregateFolds(folds, config.topK);
-}
-
-EvalResult
-evaluateOpenWorld(const ClassifierFactory &factory, const Dataset &data,
-                  Label nonSensitiveLabel, const EvalConfig &config)
-{
-    fatalIf(data.size() == 0, "cannot evaluate an empty dataset");
-    const auto splits = kFoldSplits(data.size(), config.folds,
-                                    config.valFraction, config.seed);
-    const auto folds =
-        runFolds(factory, data, splits,
-                 config.seed + kOpenWorldFoldSeedBase);
-    return aggregateFoldsOpenWorld(folds, nonSensitiveLabel, config.topK);
 }
 
 } // namespace bigfish::ml

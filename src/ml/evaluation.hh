@@ -10,15 +10,15 @@
  * catch-all "non-sensitive" label; additionally reports sensitive /
  * non-sensitive / combined accuracy (Table 1 right).
  *
- * The protocol decomposes into the stage-graph primitives the
- * fingerprinting pipeline schedules and caches individually:
- * trainFoldClassifier() (one model per fold), scoreFold() (raw scores,
- * truths and predictions on the fold's test split) and
- * aggregateFolds() / aggregateFoldsOpenWorld() (fold outputs → an
- * EvalResult). crossValidate() and evaluateOpenWorld() remain as the
- * one-call composition for direct library use; both paths produce
- * bit-identical results because fold seeds and aggregation order are
- * fixed by the same constants.
+ * This file holds the protocol's primitives, which the fingerprinting
+ * pipeline's stage graph (core/pipeline.hh) schedules and caches one by
+ * one: kFoldSplits() (ml/dataset.hh) fixes the folds,
+ * trainFoldClassifier() trains one model per fold, scoreFold() keeps
+ * its raw scores, truths and predictions on the fold's test split, and
+ * aggregateFolds() / aggregateFoldsOpenWorld() reduce fold outputs to
+ * an EvalResult. There is no second executor: every experiment runs
+ * its folds through core::runFingerprintingBatch(), and the fold seeds
+ * below fix each fold's result whatever the schedule.
  */
 
 #ifndef BF_ML_EVALUATION_HH
@@ -33,7 +33,9 @@
 
 namespace bigfish::ml {
 
-/** Aggregated cross-validation results. */
+/** Aggregated cross-validation results: aggregateFolds() fills the
+ *  closed-world fields, aggregateFoldsOpenWorld() the open-world ones
+ *  too. */
 struct EvalResult
 {
     double top1Mean = 0.0;
@@ -48,7 +50,7 @@ struct EvalResult
     /** Per-fold top-K accuracies. */
     std::vector<double> foldTopK;
 
-    /** Open-world metrics (valid when evaluateOpenWorld was used). */
+    /** Open-world metrics (valid after aggregateFoldsOpenWorld()). */
     stats::OpenWorldMetrics openWorld;
     double openWorldSensitiveStd = 0.0;
     double openWorldCombinedStd = 0.0;
@@ -103,20 +105,6 @@ EvalResult aggregateFolds(const std::vector<FoldScores> &folds, int topK);
  *  accuracy means and stds over folds. */
 EvalResult aggregateFoldsOpenWorld(const std::vector<FoldScores> &folds,
                                    Label nonSensitiveLabel, int topK);
-
-/**
- * Runs k-fold cross validation of @p factory over @p data.
- */
-EvalResult crossValidate(const ClassifierFactory &factory,
-                         const Dataset &data, const EvalConfig &config);
-
-/**
- * Open-world variant: @p nonSensitiveLabel marks the catch-all class;
- * sensitive/non-sensitive/combined accuracies are averaged over folds.
- */
-EvalResult evaluateOpenWorld(const ClassifierFactory &factory,
-                             const Dataset &data, Label nonSensitiveLabel,
-                             const EvalConfig &config);
 
 } // namespace bigfish::ml
 

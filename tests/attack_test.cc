@@ -52,9 +52,8 @@ TEST(TraceSet, ToFeaturesFixedLength)
     a.counts.assign(1000, 5.0);
     a.counts[500] = 10.0;
     set.add(a);
-    const auto features = set.toFeatures(100);
-    ASSERT_EQ(features.size(), 1u);
-    EXPECT_EQ(features[0].size(), 100u);
+    EXPECT_EQ(set.traces[0].meanFeatures(100).size(), 100u);
+    EXPECT_EQ(set.traces[0].dipFeatures(100).size(), 100u);
 }
 
 /** Synthesizes a timeline for one example site. */

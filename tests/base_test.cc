@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
 
 #include "base/hash.hh"
 #include "base/logging.hh"
@@ -15,6 +16,7 @@
 #include "base/rng.hh"
 #include "base/status.hh"
 #include "base/table.hh"
+#include "base/thread_pool.hh"
 #include "base/types.hh"
 
 namespace bigfish {
@@ -348,6 +350,26 @@ TEST(LoggingDeath, BfLogLevelSilentSuppressesWarnings)
             std::exit(warningsEnabled() ? 2 : 0);
         },
         ::testing::ExitedWithCode(0), "");
+}
+
+TEST(FatalDeath, ExitsOneFromAPoolWorker)
+{
+    // exit() would run the global pool's destructor on the worker that
+    // called fatal(), and a thread cannot join itself.
+    EXPECT_EXIT(
+        {
+            setGlobalThreads(2);
+            globalPool().parallelFor(64, [](std::size_t) {
+                if (currentWorkerIndex() != 0)
+                    fatal("fatal on a pool worker");
+                // The caller holds its chunk until the worker ends the
+                // process; if no worker ever runs, the exit code says so.
+                for (long spin = 0; spin < 100'000'000L; ++spin)
+                    std::this_thread::yield();
+            });
+            std::exit(2);
+        },
+        ::testing::ExitedWithCode(1), "fatal on a pool worker");
 }
 
 } // namespace

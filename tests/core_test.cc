@@ -399,10 +399,6 @@ TEST(RunArtifact, PhaseWallsAreIntervalUnionsNotSums)
     artifact.addResult("a", result);
     EXPECT_NEAR(artifact.trainWallSeconds(), 4.0, 1e-9);
     EXPECT_NEAR(artifact.trainCpuSeconds(), 4.0, 1e-9);
-    // Time measured outside any stage adds to the union.
-    artifact.addPhaseSeconds("train", 0.5, 0.25);
-    EXPECT_NEAR(artifact.trainWallSeconds(), 4.25, 1e-9);
-    EXPECT_NEAR(artifact.trainCpuSeconds(), 4.5, 1e-9);
     EXPECT_EQ(artifact.evalWallSeconds(), 0.0);
     // Stage offsets are rebased onto the artifact's own start; a stage
     // that never ran keeps no timeline.

@@ -506,12 +506,32 @@ TEST(Knn, NearestNeighbourRecall)
               0.9);
 }
 
+/** The evaluation protocol from its primitives, fold by fold in order:
+ *  kFoldSplits() -> trainFoldClassifier() -> scoreFold(). */
+std::vector<FoldScores>
+scoreEveryFold(const ClassifierFactory &factory, const Dataset &data,
+               const EvalConfig &config, std::uint64_t seed_base)
+{
+    std::vector<FoldScores> folds;
+    for (const FoldSplit &split :
+         kFoldSplits(data.size(), config.folds, config.valFraction,
+                     config.seed)) {
+        const auto model = trainFoldClassifier(
+            factory, data, split, config.seed + seed_base + folds.size());
+        folds.push_back(scoreFold(*model, data, split.test));
+    }
+    return folds;
+}
+
 TEST(CrossValidate, PerfectClassifierScoresPerfect)
 {
     const Dataset data = syntheticDataset(3, 20, 64, 12);
     EvalConfig config;
     config.folds = 5;
-    const auto result = crossValidate(knnFactory(1), data, config);
+    const auto result = aggregateFolds(
+        scoreEveryFold(knnFactory(1), data, config,
+                       kClosedWorldFoldSeedBase),
+        config.topK);
     EXPECT_GT(result.top1Mean, 0.95);
     EXPECT_EQ(result.foldTop1.size(), 5u);
     EXPECT_GE(result.topKMean, result.top1Mean);
@@ -526,7 +546,10 @@ TEST(CrossValidate, ChanceOnRandomLabels)
         label = static_cast<Label>(rng.uniformInt(0, 3));
     EvalConfig config;
     config.folds = 5;
-    const auto result = crossValidate(knnFactory(3), data, config);
+    const auto result = aggregateFolds(
+        scoreEveryFold(knnFactory(3), data, config,
+                       kClosedWorldFoldSeedBase),
+        config.topK);
     EXPECT_LT(result.top1Mean, 0.45);
 }
 
@@ -713,7 +736,9 @@ TEST(OpenWorldEval, ReportsSplitMetrics)
     Dataset data = syntheticDataset(4, 25, 64, 15);
     EvalConfig config;
     config.folds = 5;
-    const auto result = evaluateOpenWorld(knnFactory(1), data, 3, config);
+    const auto result = aggregateFoldsOpenWorld(
+        scoreEveryFold(knnFactory(1), data, config, kOpenWorldFoldSeedBase),
+        3, config.topK);
     EXPECT_GT(result.openWorld.sensitiveAccuracy, 0.9);
     EXPECT_GT(result.openWorld.nonSensitiveAccuracy, 0.9);
     EXPECT_GT(result.openWorld.combinedAccuracy, 0.9);

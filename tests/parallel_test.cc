@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -24,9 +26,12 @@
 
 #include "base/simd.hh"
 #include "base/thread_pool.hh"
+#include "core/checkpoint.hh"
 #include "core/collector.hh"
 #include "core/pipeline.hh"
 #include "core/stage.hh"
+#include "sim/scratch.hh"
+#include "stats/descriptive.hh"
 #include "ml/evaluation.hh"
 #include "web/catalog.hh"
 
@@ -243,45 +248,37 @@ TEST(SharedCollection, SharedPipelineMatchesSingleRunsAcrossThreads)
     }
 }
 
-ml::Dataset
-tinyDataset()
-{
-    // Separable two-class data; enough rows for 3 folds, and long
-    // enough rows for the CNN-LSTM's two conv + pool stages.
-    ml::Dataset data;
-    Rng rng(99);
-    for (int i = 0; i < 24; ++i) {
-        const Label y = i % 2;
-        std::vector<double> x(64);
-        for (auto &v : x)
-            v = rng.normal(y == 0 ? -1.0 : 1.0, 0.3);
-        data.add(std::move(x), y);
-    }
-    return data;
-}
-
 TEST(ParallelCrossValidation, FoldMetricsMatchAcrossThreadCounts)
 {
-    // A tiny CNN-LSTM: the folds train concurrently, each from its own
-    // seed, so any thread-count dependence in seeded training shows up
-    // in the fold metrics.
-    const auto data = tinyDataset();
-    ml::EvalConfig config;
-    config.folds = 3;
-    config.seed = 5;
+    // A tiny CNN-LSTM on the stage graph: the folds train concurrently,
+    // each from its own seed, so any thread-count dependence in seeded
+    // training shows up in the fold metrics.
+    core::FingerprintJob job;
+    job.collection = smallConfig();
+    job.attackers = {attack::AttackerKind::LoopCounting};
+    job.pipeline.numSites = 3;
+    job.pipeline.tracesPerSite = 6;
+    job.pipeline.featureLen = 32;
+    job.pipeline.eval.folds = 3;
+    job.pipeline.eval.seed = 5;
     ml::CnnLstmParams params;
+    params.inputChannels = 2;
     params.convFilters = 4;
     params.lstmUnits = 4;
     params.maxEpochs = 3;
     params.patience = 3;
+    job.pipeline.factory = ml::cnnLstmFactory(params);
+    const std::vector<core::FingerprintJob> jobs = {job};
 
     const auto run = [&](int threads) {
         ScopedThreads scoped(threads);
-        return ml::crossValidate(ml::cnnLstmFactory(params), data, config);
+        return core::runFingerprintingBatch(jobs).valueOrDie()[0][0]
+            .closedWorld;
     };
     const auto serial = run(1);
     const auto parallel = run(8);
 
+    ASSERT_EQ(serial.foldTop1.size(), 3u);
     ASSERT_EQ(serial.foldTop1.size(), parallel.foldTop1.size());
     for (std::size_t f = 0; f < serial.foldTop1.size(); ++f) {
         EXPECT_EQ(serial.foldTop1[f], parallel.foldTop1[f]);
@@ -757,22 +754,6 @@ TEST(StageGraphExecute, StagesRecordThreadCpuAndTheirTimeline)
 
 // --- runFingerprintingBatch --------------------------------------------
 
-/** Two small, different configurations, each with both attackers. */
-std::vector<core::FingerprintJob>
-twoJobs()
-{
-    core::FingerprintJob chrome;
-    chrome.collection = smallConfig();
-    chrome.attackers = {attack::AttackerKind::LoopCounting,
-                        attack::AttackerKind::SweepCounting};
-    core::FingerprintJob firefox = chrome;
-    firefox.collection.browser = web::BrowserProfile::firefox();
-    firefox.collection.browser.traceDuration = 2 * kSec;
-    firefox.collection.machine = sim::MachineConfig::windowsWorkstation();
-    firefox.collection.seed = 29;
-    return {chrome, firefox};
-}
-
 /** The CNN-LSTM the experiments use, at a tiny input length. */
 core::PipelineConfig
 batchPipeline()
@@ -789,14 +770,39 @@ batchPipeline()
     return pipeline;
 }
 
+/** Two small, different configurations, each with both attackers, both
+ *  evaluated by @p pipeline. */
+std::vector<core::FingerprintJob>
+twoJobs(const core::PipelineConfig &pipeline = batchPipeline())
+{
+    core::FingerprintJob chrome;
+    chrome.collection = smallConfig();
+    chrome.attackers = {attack::AttackerKind::LoopCounting,
+                        attack::AttackerKind::SweepCounting};
+    chrome.pipeline = pipeline;
+    core::FingerprintJob firefox = chrome;
+    firefox.collection.browser = web::BrowserProfile::firefox();
+    firefox.collection.browser.traceDuration = 2 * kSec;
+    firefox.collection.machine = sim::MachineConfig::windowsWorkstation();
+    firefox.collection.seed = 29;
+    return {chrome, firefox};
+}
+
+/** Sets every job's cache directory. */
+void
+setCacheDir(std::vector<core::FingerprintJob> &jobs, const std::string &dir)
+{
+    for (core::FingerprintJob &job : jobs)
+        job.pipeline.cacheDir = dir;
+}
+
 std::vector<std::vector<core::FingerprintResult>>
-sequentialRuns(const std::vector<core::FingerprintJob> &jobs,
-               const core::PipelineConfig &pipeline)
+sequentialRuns(const std::vector<core::FingerprintJob> &jobs)
 {
     std::vector<std::vector<core::FingerprintResult>> out;
     for (const core::FingerprintJob &job : jobs)
         out.push_back(core::runFingerprintingSharedOrDie(
-            job.collection, job.attackers, pipeline));
+            job.collection, job.attackers, job.pipeline));
     return out;
 }
 
@@ -860,20 +866,38 @@ class ScopedSimd
 
 TEST(PipelineBatch, TwoJobBatchMatchesSequentialCallsAtEveryThreadCountAndSimd)
 {
-    const auto jobs = twoJobs();
-    const auto pipeline = batchPipeline();
+    auto jobs = twoJobs();
+    // Two more jobs whose pipelines differ from the first two and from
+    // each other: a one-channel featurization with its one-channel
+    // CNN-LSTM at another input length, and kNN over the gap trace
+    // beside the loop counter, closed world only.
+    core::FingerprintJob mean_only = jobs[0];
+    mean_only.attackers = {attack::AttackerKind::LoopCounting};
+    mean_only.pipeline.featureLen = 24;
+    mean_only.pipeline.featurization = core::Featurization::MeanOnly;
+    ml::CnnLstmParams params = ml::CnnLstmParams::traceDefaults();
+    params.inputChannels = 1;
+    mean_only.pipeline.factory = ml::cnnLstmFactory(params);
+    core::FingerprintJob gap = jobs[1];
+    gap.attackers = {attack::AttackerKind::GapTrace,
+                     attack::AttackerKind::LoopCounting};
+    gap.pipeline.openWorldExtra = 0;
+    gap.pipeline.eval.folds = 3;
+    gap.pipeline.factory = ml::knnFactory(3);
+    jobs.push_back(mean_only);
+    jobs.push_back(gap);
     ScopedSimd restore;
     simd::setActive(simd::Tag::Scalar);
     std::vector<std::vector<core::FingerprintResult>> reference;
     {
         ScopedThreads scoped(1);
-        reference = sequentialRuns(jobs, pipeline);
+        reference = sequentialRuns(jobs);
     }
     for (const simd::Tag tag : {simd::Tag::Scalar, simd::Tag::Avx2}) {
         const simd::Tag active = simd::setActive(tag);
         for (const int threads : {1, 2, 4, 8}) {
             ScopedThreads scoped(threads);
-            auto batch = core::runFingerprintingBatch(jobs, pipeline);
+            auto batch = core::runFingerprintingBatch(jobs);
             ASSERT_TRUE(batch.isOk()) << batch.status().toString();
             expectSameJobs(batch.value(), reference,
                            std::string(simd::name(active)) + " x" +
@@ -892,26 +916,232 @@ freshCacheDir(const std::string &leaf)
     return dir;
 }
 
+// --- The ablations' former direct path, as an oracle ------------------
+
+/** The featurization the ablation built by hand before it ran on the
+ *  stage graph: channel by channel over the whole trace set. */
+ml::Dataset
+directDataset(const attack::TraceSet &traces, std::size_t feature_len,
+              int num_classes, bool mean_channel, bool dip_channel,
+              bool winsorized)
+{
+    ml::Dataset data;
+    for (const attack::Trace &trace : traces.traces) {
+        std::vector<double> x;
+        if (mean_channel) {
+            const auto means = trace.meanFeatures(feature_len);
+            const auto z = stats::zscore(winsorized ? stats::winsorize(means)
+                                                    : means);
+            x.insert(x.end(), z.begin(), z.end());
+        }
+        if (dip_channel) {
+            const auto z = stats::zscore(trace.dipFeatures(feature_len));
+            x.insert(x.end(), z.begin(), z.end());
+        }
+        data.add(std::move(x), trace.label);
+    }
+    data.numClasses = std::max(data.numClasses, num_classes);
+    return data;
+}
+
+/** Closed-world k-fold cross-validation, one fold after another. */
+ml::EvalResult
+directCrossValidate(const ml::ClassifierFactory &factory,
+                    const ml::Dataset &data, const ml::EvalConfig &config)
+{
+    std::vector<ml::FoldScores> folds;
+    for (const ml::FoldSplit &split :
+         ml::kFoldSplits(data.size(), config.folds, config.valFraction,
+                         config.seed)) {
+        const auto model = ml::trainFoldClassifier(
+            factory, data, split,
+            config.seed + ml::kClosedWorldFoldSeedBase + folds.size());
+        folds.push_back(ml::scoreFold(*model, data, split.test));
+    }
+    return ml::aggregateFolds(folds, config.topK);
+}
+
+void
+expectSameEval(const ml::EvalResult &got, const ml::EvalResult &want,
+               const std::string &where)
+{
+    EXPECT_EQ(got.foldTop1, want.foldTop1) << where;
+    EXPECT_EQ(got.foldTopK, want.foldTopK) << where;
+    EXPECT_EQ(got.top1Mean, want.top1Mean) << where;
+    EXPECT_EQ(got.top1Std, want.top1Std) << where;
+    EXPECT_EQ(got.topKMean, want.topKMean) << where;
+    EXPECT_EQ(got.topKStd, want.topKStd) << where;
+}
+
+TEST(PipelineBatch, FeaturizationVariantsAndGapTraceMatchTheDirectPath)
+{
+    core::PipelineConfig pipeline = batchPipeline();
+    pipeline.openWorldExtra = 0;
+    ml::CnnLstmParams params = ml::CnnLstmParams::traceDefaults();
+    params.convFilters = 4;
+    params.lstmUnits = 4;
+    params.maxEpochs = 3;
+    params.patience = 3;
+    const auto factory = [&](std::size_t channels) {
+        ml::CnnLstmParams p = params;
+        p.inputChannels = channels;
+        return ml::cnnLstmFactory(p);
+    };
+    const core::CollectionConfig collection = smallConfig();
+
+    struct Variant
+    {
+        core::Featurization featurization;
+        bool mean, dip, winsor;
+        std::size_t channels;
+    };
+    const Variant variants[] = {
+        {core::Featurization::MeanDip, true, true, true, 2},
+        {core::Featurization::MeanOnly, true, false, true, 1},
+        {core::Featurization::DipOnly, false, true, true, 1},
+        {core::Featurization::MeanDipUnwinsorized, true, true, false, 2},
+    };
+
+    // The direct path: one closed-world collection, every variant
+    // featurized from it, and the gap traces from a serial loop over
+    // the same timelines.
+    std::vector<ml::EvalResult> want;
+    {
+        ScopedThreads scoped(1);
+        const core::TraceCollector collector(collection);
+        const web::SiteCatalog catalog(pipeline.numSites,
+                                       pipeline.catalogSeed);
+        const attack::TraceSet loop =
+            collector.collectClosedWorld(catalog, pipeline.tracesPerSite)
+                .valueOrDie();
+        for (const Variant &v : variants)
+            want.push_back(directCrossValidate(
+                factory(v.channels),
+                directDataset(loop, pipeline.featureLen, pipeline.numSites,
+                              v.mean, v.dip, v.winsor),
+                pipeline.eval));
+        attack::TraceSet gap;
+        for (SiteId id = 0; id < catalog.size(); ++id) {
+            for (int run = 0; run < pipeline.tracesPerSite; ++run) {
+                auto timeline =
+                    collector.synthesizeTimeline(catalog.site(id), run);
+                attack::Trace t =
+                    attack::collectGapTrace(timeline,
+                                            collection.effectivePeriod())
+                        .valueOrDie();
+                sim::giveBack(timeline);
+                t.siteId = id;
+                t.label = id;
+                gap.add(std::move(t));
+            }
+        }
+        want.push_back(directCrossValidate(
+            factory(2),
+            core::toDataset(loop, pipeline.featureLen, pipeline.numSites),
+            pipeline.eval));
+        want.push_back(directCrossValidate(
+            factory(2),
+            core::toDataset(gap, pipeline.featureLen, pipeline.numSites),
+            pipeline.eval));
+    }
+
+    // The same evaluations as one batch: a job per variant, then the
+    // loop counter and the gap trace sharing one collection.
+    std::vector<core::FingerprintJob> jobs;
+    for (const Variant &v : variants) {
+        core::FingerprintJob job{
+            collection, {attack::AttackerKind::LoopCounting}, pipeline};
+        job.pipeline.featurization = v.featurization;
+        job.pipeline.factory = factory(v.channels);
+        jobs.push_back(std::move(job));
+    }
+    jobs.push_back({collection,
+                    {attack::AttackerKind::LoopCounting,
+                     attack::AttackerKind::GapTrace},
+                    pipeline});
+    jobs.back().pipeline.factory = factory(2);
+    for (const int threads : {1, 4}) {
+        ScopedThreads scoped(threads);
+        const auto batch = core::runFingerprintingBatch(jobs).valueOrDie();
+        const std::string at = "x" + std::to_string(threads);
+        for (std::size_t v = 0; v < std::size(variants); ++v)
+            expectSameEval(batch[v][0].closedWorld, want[v],
+                           at + " variant " + std::to_string(v));
+        expectSameEval(batch.back()[0].closedWorld, want[4], at + " loop");
+        expectSameEval(batch.back()[1].closedWorld, want[5], at + " gap");
+        EXPECT_EQ(batch.back()[1].stages[0].name, "featurize/gap-trace");
+    }
+}
+
+TEST(PipelineBatch, DefaultFeaturizeCanonIsPinned)
+{
+    // Featurized cache keys are a function of this text: a tool that
+    // looks entries up by key rebuilds it, so the default featurization
+    // must keep it as it is; another variant appends exactly one line.
+    core::PipelineConfig pipeline = batchPipeline();
+    pipeline.openWorldExtra = 0;
+    pipeline.factory = ml::knnFactory(1);
+    core::FingerprintJob job{
+        smallConfig(), {attack::AttackerKind::LoopCounting}, pipeline};
+    core::FingerprintJob dip_only = job;
+    dip_only.pipeline.featurization = core::Featurization::DipOnly;
+    const std::vector<core::FingerprintJob> jobs = {job, dip_only};
+    const auto batch = core::runFingerprintingBatch(jobs).valueOrDie();
+
+    char collection[24];
+    std::snprintf(collection, sizeof(collection), "%016" PRIx64,
+                  core::collectionFingerprint(job.collection,
+                                              pipeline.catalogSeed,
+                                              pipeline.numSites,
+                                              pipeline.openWorldExtra,
+                                              job.attackers));
+    const std::uint64_t collect[] = {core::stageFingerprint(
+        "collect", std::string("collection=") + collection + "\n", {})};
+    const std::string canon = "format=bigfish-features-v1\n"
+                              "featureLen=32\n"
+                              "numSites=3\n"
+                              "openExtra=0\n"
+                              "attacker=loop-counting\n";
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        ASSERT_EQ(batch[j][0].stages[0].fingerprint, collect[0]);
+        ASSERT_EQ(batch[j][0].stages[1].name, "featurize/loop-counting");
+    }
+    EXPECT_EQ(batch[0][0].stages[1].fingerprint,
+              core::stageFingerprint("featurize/loop-counting", canon,
+                                     collect));
+    EXPECT_EQ(batch[1][0].stages[1].fingerprint,
+              core::stageFingerprint("featurize/loop-counting",
+                                     canon + "featurization=dip-only\n",
+                                     collect));
+}
+
+TEST(PipelineBatch, RejectsJobsThatNameDifferentCacheDirs)
+{
+    auto jobs = twoJobs();
+    jobs[1].pipeline.cacheDir = freshCacheDir("other");
+    const auto batch = core::runFingerprintingBatch(jobs);
+    ASSERT_FALSE(batch.isOk());
+    EXPECT_EQ(batch.status().code(), ErrorCode::InvalidArgument);
+}
+
 TEST(PipelineBatch, CacheProvenanceMatchesSequentialColdFreshAndWarm)
 {
     ScopedThreads scoped(4);
-    const auto jobs = twoJobs();
-    auto pipeline = batchPipeline();
+    auto jobs = twoJobs();
 
     // No cache at all: every cacheable stage reports Disabled.
-    expectSameJobs(core::runFingerprintingBatch(jobs, pipeline).valueOrDie(),
-                   sequentialRuns(jobs, pipeline), "uncached");
+    expectSameJobs(core::runFingerprintingBatch(jobs).valueOrDie(),
+                   sequentialRuns(jobs), "uncached");
 
     // A fresh cache directory: everything computes and is stored; then
     // a warm rerun replays featurized data and fold scores.
     const std::string seq_dir = freshCacheDir("sequential");
     const std::string batch_dir = freshCacheDir("batch");
     for (const char *pass : {"fresh", "warm"}) {
-        pipeline.cacheDir = seq_dir;
-        const auto sequential = sequentialRuns(jobs, pipeline);
-        pipeline.cacheDir = batch_dir;
-        const auto batch =
-            core::runFingerprintingBatch(jobs, pipeline).valueOrDie();
+        setCacheDir(jobs, seq_dir);
+        const auto sequential = sequentialRuns(jobs);
+        setCacheDir(jobs, batch_dir);
+        const auto batch = core::runFingerprintingBatch(jobs).valueOrDie();
         expectSameJobs(batch, sequential, pass);
         const core::StageCacheState featurized = batch[0][0].stages[1].cache;
         EXPECT_EQ(featurized, std::string(pass) == "warm"
@@ -928,7 +1158,7 @@ TEST(PipelineBatch, FirstFailingJobInDeclarationOrderWinsAndOthersDrain)
     pipeline.factory = ml::knnFactory(3);
     pipeline.openWorldExtra = 0;
 
-    std::vector<core::FingerprintJob> jobs = twoJobs();
+    std::vector<core::FingerprintJob> jobs = twoJobs(pipeline);
     // Job 1: every trace truncated away, so its collection fails at run
     // time. Job 2: no attackers, rejected when declared. Job 3 is fine.
     core::FingerprintJob starved = jobs[0];
@@ -945,7 +1175,7 @@ TEST(PipelineBatch, FirstFailingJobInDeclarationOrderWinsAndOthersDrain)
         starved.collection, starved.attackers, pipeline);
     ASSERT_FALSE(sequential_status.isOk());
 
-    const auto batch = core::runFingerprintingBatch(batch_jobs, pipeline);
+    const auto batch = core::runFingerprintingBatch(batch_jobs);
     ASSERT_FALSE(batch.isOk());
     EXPECT_EQ(batch.status().toString(),
               sequential_status.status().toString());
@@ -953,7 +1183,7 @@ TEST(PipelineBatch, FirstFailingJobInDeclarationOrderWinsAndOthersDrain)
     // With the failing jobs later in declaration order, the earlier
     // job's failure still wins over a declare-time rejection.
     const std::vector<core::FingerprintJob> reordered = {empty, starved};
-    const auto first = core::runFingerprintingBatch(reordered, pipeline);
+    const auto first = core::runFingerprintingBatch(reordered);
     ASSERT_FALSE(first.isOk());
     EXPECT_EQ(first.status().toString(),
               Status(invalidArgumentError("need at least one attacker kind"))
@@ -964,12 +1194,11 @@ TEST(PipelineBatch, FirstFailingJobInDeclarationOrderWinsAndOthersDrain)
  *  operator new/delete replacement at the top of this file, rose above
  *  where it started. */
 std::size_t
-peakHeapGrowth(std::span<const core::FingerprintJob> jobs,
-               const core::PipelineConfig &pipeline)
+peakHeapGrowth(std::span<const core::FingerprintJob> jobs)
 {
     const long long before = gLiveHeapBytes.load();
     gPeakHeapBytes.store(before);
-    EXPECT_TRUE(core::runFingerprintingBatch(jobs, pipeline).isOk());
+    EXPECT_TRUE(core::runFingerprintingBatch(jobs).isOk());
     const long long peak = gPeakHeapBytes.load();
     return peak > before ? static_cast<std::size_t>(peak - before) : 0;
 }
@@ -987,7 +1216,7 @@ TEST(PipelineBatch, RawTracesAreReleasedOnceFeaturizationFinishes)
     job.collection.browser.traceDuration = 15 * kSec;
     job.attackers = {attack::AttackerKind::LoopCounting,
                      attack::AttackerKind::SweepCounting};
-    core::PipelineConfig pipeline;
+    core::PipelineConfig &pipeline = job.pipeline;
     pipeline.numSites = 12;
     pipeline.tracesPerSite = 4;
     pipeline.featureLen = 8;
@@ -1014,21 +1243,23 @@ TEST(PipelineBatch, RawTracesAreReleasedOnceFeaturizationFinishes)
     ASSERT_GT(raw_bytes, std::size_t{2} << 20);
     ASSERT_GT(gLiveHeapBytes.load(), 0) << "the heap counter sees nothing";
 
-    const std::vector<core::FingerprintJob> jobs = {job};
+    std::vector<core::FingerprintJob> jobs = {job};
     // A first run warms the worker's simulator arena and every lazily
     // built table, so the measured runs see only what they hold.
-    ASSERT_TRUE(core::runFingerprintingBatch(jobs, pipeline).isOk());
+    ASSERT_TRUE(core::runFingerprintingBatch(jobs).isOk());
 
-    const std::size_t uncached = peakHeapGrowth(jobs, pipeline);
+    const std::size_t uncached = peakHeapGrowth(jobs);
     EXPECT_LT(uncached, raw_bytes / 4)
         << "raw traces (" << raw_bytes << " B) outlived their cells";
 
-    pipeline.cacheDir = testing::TempDir() + "bf_raw_release_cache";
-    std::filesystem::remove_all(pipeline.cacheDir);
-    const std::size_t cached = peakHeapGrowth(jobs, pipeline);
+    const std::string cache_dir =
+        testing::TempDir() + "bf_raw_release_cache";
+    std::filesystem::remove_all(cache_dir);
+    setCacheDir(jobs, cache_dir);
+    const std::size_t cached = peakHeapGrowth(jobs);
     EXPECT_LT(cached, raw_bytes / 2)
         << "raw traces (" << raw_bytes << " B) outlived their chunk";
-    std::filesystem::remove_all(pipeline.cacheDir);
+    std::filesystem::remove_all(cache_dir);
 }
 
 } // namespace
